@@ -14,6 +14,7 @@ package aodv
 
 import (
 	"fmt"
+	"slices"
 
 	"manetskyline/internal/mobility"
 	"manetskyline/internal/radio"
@@ -281,7 +282,10 @@ func (nd *node) validRoute(dst radio.NodeID) *route {
 	return r
 }
 
-// invalidateVia marks every route through the broken neighbour invalid.
+// invalidateVia marks every route through the broken neighbour invalid and
+// returns the destinations lost, in ascending order: the caller sends one
+// RERR per destination, and map order there would make the frame sequence,
+// and so a whole run, differ between executions of one seed.
 func (nd *node) invalidateVia(neighbor radio.NodeID) []radio.NodeID {
 	var lost []radio.NodeID
 	for dst, r := range nd.routes {
@@ -290,6 +294,7 @@ func (nd *node) invalidateVia(neighbor radio.NodeID) []radio.NodeID {
 			lost = append(lost, dst)
 		}
 	}
+	slices.Sort(lost)
 	return lost
 }
 

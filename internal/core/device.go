@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"manetskyline/internal/localsky"
 	"manetskyline/internal/storage"
 	"manetskyline/internal/tuple"
@@ -37,6 +39,16 @@ type Device struct {
 	Met Metrics
 
 	nextCnt uint8
+	// scan memoizes the Figure 4 scan over Rel; see evaluate.
+	scan atomic.Pointer[scanMemo]
+}
+
+// scanMemo is the outcome of the Figure 4 scan over one whole relation:
+// what the scan of every query that covers the relation recomputes.
+type scanMemo struct {
+	rel   *storage.Hybrid
+	slots []int32 // SK_i as ascending storage indices
+	idCmp int     // ID comparisons the scan spent
 }
 
 // NewDevice builds a device over the given tuples.
@@ -73,7 +85,7 @@ func (d *Device) Originate(pos tuple.Point, dist float64) (Query, localsky.Resul
 	q := d.NewQuery(pos, dist)
 	d.Log.FirstTime(q.Key())
 	sc := localsky.GetScratch()
-	res := localsky.HybridSkylineScratch(d.Rel, localsky.Query{Pos: q.Pos, D: q.D}, nil, d.VDRFunc(), sc)
+	res := d.evaluate(d.Rel, localsky.Query{Pos: q.Pos, D: q.D}, nil, sc)
 	res.Skyline = localsky.CloneTuples(res.Skyline)
 	localsky.PutScratch(sc)
 	q = q.WithFilter(res.Filter, res.FilterVDR)
@@ -100,14 +112,16 @@ func (d *Device) Originate(pos tuple.Point, dist float64) (Query, localsky.Resul
 // protocol actually performed.
 func (d *Device) Process(q Query) localsky.Result {
 	sc := localsky.GetScratch()
-	res := localsky.HybridSkylineScratch(d.Rel, localsky.Query{Pos: q.Pos, D: q.D}, q.Filter, d.VDRFunc(), sc)
+	rel, lq := d.Rel, localsky.Query{Pos: q.Pos, D: q.D}
+	res := d.evaluate(rel, lq, q.Filter, sc)
 	if res.Stats.SkippedFilter {
 		// The skipped scan produced no skyline, so reusing sc for the
 		// shadow evaluation clobbers nothing.
-		stats := res.Stats
-		shadow := localsky.HybridSkylineScratch(d.Rel, localsky.Query{Pos: q.Pos, D: q.D}, nil, nil, sc)
-		res.Unreduced = shadow.Unreduced
-		res.Stats = stats
+		if lq.Covers(rel.MBR()) {
+			res.Unreduced = len(d.scanOf(rel, sc).slots)
+		} else {
+			res.Unreduced = localsky.HybridSkylineScratch(rel, lq, nil, nil, sc).Unreduced
+		}
 	}
 	// Callers retain and merge results, so detach the skyline from the
 	// scratch before recycling it; the filter is already detached.
@@ -122,6 +136,54 @@ func (d *Device) Process(q Query) localsky.Result {
 	}
 	d.observeProcess(res.Unreduced, res.Unreduced-len(res.Skyline), FilterReplaced(q, res))
 	return res
+}
+
+// evaluate is localsky.HybridSkylineScratch over rel (the device's relation,
+// read once by the caller) under the device's estimation mode, skipping the
+// scan when its outcome is already known.
+//
+// A query that covers the relation — unconstrained, or reaching the farthest
+// corner of its MBR — rejects no tuple on range, so its scan accepts the same
+// slots with the same ID comparisons whatever its position, distance or
+// filter. The first such query runs the scan and the device keeps the slots;
+// later ones replay the counters (Stats feed device.Time, so simulated
+// seconds must not notice) and go straight to filter application. The
+// pre-checks stay live and first. Any other query takes the full evaluation.
+func (d *Device) evaluate(rel *storage.Hybrid, q localsky.Query, flt *tuple.Tuple, sc *localsky.Scratch) localsky.Result {
+	vdr := VDRFunc(d.Mode, d.Schema, rel, d.OverFactor)
+	if !q.Covers(rel.MBR()) {
+		return localsky.HybridSkylineScratch(rel, q, flt, vdr, sc)
+	}
+	res, skipped := localsky.Precheck(rel, q, flt, vdr)
+	if skipped {
+		return res
+	}
+	m := d.scanOf(rel, sc)
+	n := rel.Len()
+	res.Stats.Scanned, res.Stats.InRange, res.Stats.IDCmp = n, n, m.idCmp
+	if !q.Unconstrained() {
+		res.Stats.DistChecks = n
+	}
+	localsky.Reduce(rel, m.slots, vdr, sc, &res)
+	return res
+}
+
+// scanOf returns the memoized scan of rel, running it through sc when the
+// device holds none or holds one of a relation since swapped out of Rel.
+// Process runs outside the peer lock on the live tier, so the memo is
+// published atomically; two racing first queries both scan and either
+// result stands.
+func (d *Device) scanOf(rel *storage.Hybrid, sc *localsky.Scratch) *scanMemo {
+	if m := d.scan.Load(); m != nil && m.rel == rel {
+		return m
+	}
+	slots, idCmp := localsky.ScanAll(rel, sc)
+	m := &scanMemo{rel: rel, slots: make([]int32, len(slots)), idCmp: idCmp}
+	for i, s := range slots {
+		m.slots[i] = int32(s)
+	}
+	d.scan.Store(m)
+	return m
 }
 
 // FilterReplaced reports whether processing q produced a dynamic filter

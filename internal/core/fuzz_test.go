@@ -23,7 +23,8 @@ func fuzzTuple(idx int, dim int, raw []byte) tuple.Tuple {
 // FuzzDominates fuzzes the dominance relation and the merge operator with
 // arbitrary attribute bytes: dominance must be a strict partial order
 // (irreflexive, antisymmetric, transitive), consistent with
-// DominatesOrEqual, and Merge must be idempotent over its own output.
+// DominatesOrEqual, and Merge must be idempotent over its own output and
+// agree with referenceMerge, element for element, on raw and skyline inputs.
 func FuzzDominates(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6}, uint8(2))
 	f.Add([]byte{0, 0, 0, 0}, uint8(1))
@@ -56,9 +57,13 @@ func FuzzDominates(f *testing.F) {
 				}
 			}
 		}
+		// The kernel against its definition: on the raw tuples, where the
+		// inputs dominate within themselves, and on a skyline with itself.
+		sky := skyline.SFS(ts)
+		sameMerge(t, ts[:n/2], ts[n/2:])
+		sameMerge(t, sky, sky)
 		// Merge idempotence: merging a skyline with itself changes nothing,
 		// and the merged set is mutually non-dominated and site-unique.
-		sky := skyline.SFS(ts)
 		again := Merge(append([]tuple.Tuple(nil), sky...), sky)
 		if !skyline.SetEqual(again, sky) {
 			t.Fatalf("merge is not idempotent: %d tuples became %d", len(sky), len(again))

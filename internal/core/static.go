@@ -68,10 +68,10 @@ func RunStaticOpt(devices []*Device, g int, org DeviceID, opt StaticOptions) Sta
 	}
 	visited := make([]bool, len(devices))
 	visited[org] = true
-	queue := []hop{}
+	queue := make([]hop, 0, len(devices)-1)
 	enqueueNeighbors := func(from DeviceID, fq Query) {
 		r, c := int(from)/g, int(from)%g
-		for _, d := range [][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}} {
+		for _, d := range gridNeighbors {
 			nr, nc := r+d[0], c+d[1]
 			if nr < 0 || nr >= g || nc < 0 || nc >= g {
 				continue
@@ -85,9 +85,8 @@ func RunStaticOpt(devices []*Device, g int, org DeviceID, opt StaticOptions) Sta
 	}
 	enqueueNeighbors(org, q)
 
-	for len(queue) > 0 {
-		h := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(queue); head++ {
+		h := queue[head]
 		dev := devices[h.dev]
 		if !dev.Log.FirstTime(h.q.Key()) {
 			continue
@@ -102,6 +101,9 @@ func RunStaticOpt(devices []*Device, g int, org DeviceID, opt StaticOptions) Sta
 	}
 	return out
 }
+
+// gridNeighbors are the row and column offsets of 4-neighbour adjacency.
+var gridNeighbors = [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}}
 
 // RunStaticAll runs the pre-test protocol once per originator (the paper's
 // m×m-query experiments average over every device originating) and returns

@@ -31,14 +31,23 @@ type Query struct {
 	SpatialIndex bool
 }
 
-// unconstrained reports whether the query has no effective spatial bound.
-func (q Query) unconstrained() bool {
+// Unconstrained reports whether the query has no effective spatial bound.
+func (q Query) Unconstrained() bool {
 	return q.D <= 0 || math.IsInf(q.D, 1)
+}
+
+// Covers reports whether every position inside r passes the query's range
+// predicate, so that a scan over a relation bounded by r distance-checks
+// every tuple and rejects none. The farthest corner is tested with the
+// predicate itself: coordinate differences, squares and sums are monotone
+// in floating point, so no tuple inside r can fail where the corner passes.
+func (q Query) Covers(r tuple.Rect) bool {
+	return q.Unconstrained() || (!r.IsEmpty() && q.inRange(r.FarCorner(q.Pos)))
 }
 
 // inRange applies the spatial predicate.
 func (q Query) inRange(p tuple.Point) bool {
-	return q.unconstrained() || q.Pos.WithinDist(p, q.D)
+	return q.Unconstrained() || q.Pos.WithinDist(p, q.D)
 }
 
 // VDRFunc scores a tuple's pruning potential: the volume of its dominating
@@ -123,16 +132,36 @@ func HybridSkyline(rel *storage.Hybrid, q Query, flt *tuple.Tuple, vdr VDRFunc) 
 // is valid only until sc's next use; Result.Filter is always detached and
 // safe to retain. A nil sc falls back to per-call allocation, which is
 // exactly HybridSkyline.
+//
+// The evaluation is three steps, each callable on its own: Precheck (the
+// whole-relation tests), the ID-based SFS scan (ScanAll is its
+// whole-relation form), and Reduce (filter application and pick-up over the
+// scan's accepted slots).
 func HybridSkylineScratch(rel *storage.Hybrid, q Query, flt *tuple.Tuple, vdr VDRFunc, sc *Scratch) Result {
+	res, skipped := Precheck(rel, q, flt, vdr)
+	if skipped {
+		return res
+	}
+	order, sky := scan(rel, q, sc, &res.Stats)
+	reduce(rel, order, sky, flt, vdr, sc, &res)
+	return res
+}
+
+// Precheck runs Figure 4's two whole-relation tests, which cost O(1) and
+// O(dim): the MBR lies entirely out of range, or the filter strictly
+// dominates the relation's best conceivable tuple. It returns the Result to
+// continue with (Filter and FilterVDR set, ValCmp charged) and whether the
+// relation was skipped, in which case that Result is final.
+func Precheck(rel *storage.Hybrid, q Query, flt *tuple.Tuple, vdr VDRFunc) (Result, bool) {
 	res := Result{Filter: flt}
 	if flt != nil && vdr != nil {
 		res.FilterVDR = vdr(*flt)
 	}
 
 	// MBR pre-check: the device's data is entirely out of range.
-	if !q.unconstrained() && rel.MBR().MinDist(q.Pos) > q.D {
+	if !q.Unconstrained() && rel.MBR().MinDist(q.Pos) > q.D {
 		res.Stats.SkippedMBR = true
-		return res
+		return res, true
 	}
 
 	// Filter pre-check: the best conceivable local tuple (l_1..l_n) is
@@ -153,17 +182,35 @@ func HybridSkylineScratch(rel *storage.Hybrid, q Query, flt *tuple.Tuple, vdr VD
 		}
 		if domAll && strict {
 			res.Stats.SkippedFilter = true
-			return res
+			return res, true
 		}
 	}
+	return res, false
+}
 
-	// ID-based SFS scan. The relation is lexicographically sorted by ID
-	// vector, so accepted tuples are never evicted. IDs are decoded once
-	// into a flat row-major array; the dominance loop then runs over plain
-	// integers — the in-register form the paper's byte IDs take on a real
-	// device. Because the presort makes every accepted tuple ≤ the
-	// candidate on the sorted attribute, that attribute only contributes a
-	// strictness check (the Figure 4 comparison skip).
+// ScanAll runs the ID-based SFS scan over the whole relation with no range
+// predicate and returns the accepted slots — SK_i's storage indices in
+// ascending order — and the number of ID comparisons spent. The slots alias
+// sc when one is given. A query that Covers the relation's MBR accepts
+// exactly these slots with exactly this many comparisons: the predicate
+// rejects nothing, so the dominance tests are the same.
+func ScanAll(rel *storage.Hybrid, sc *Scratch) (slots []int, idCmp int) {
+	var st Stats
+	_, slots = scan(rel, Query{}, sc, &st)
+	return slots, st.IDCmp
+}
+
+// scan is the ID-based SFS scan. It returns the accepted slots and, on the
+// spatial-index path, the candidate order those slots index into (nil when
+// slots are storage indices), and adds its counters to st.
+func scan(rel *storage.Hybrid, q Query, sc *Scratch, st *Stats) (order []int32, sky []int) {
+	// The relation is lexicographically sorted by ID vector, so accepted
+	// tuples are never evicted. IDs are decoded once into a flat row-major
+	// array; the dominance loop then runs over plain integers — the
+	// in-register form the paper's byte IDs take on a real device. Because
+	// the presort makes every accepted tuple ≤ the candidate on the sorted
+	// attribute, that attribute only contributes a strictness check (the
+	// Figure 4 comparison skip).
 	dim := rel.Dim()
 	sa := rel.SortAttr()
 
@@ -171,8 +218,7 @@ func HybridSkylineScratch(rel *storage.Hybrid, q Query, flt *tuple.Tuple, vdr VD
 	// bucket grid when the caller opted in and the range is selective. The
 	// grid yields indices in ascending order, preserving the lex-order
 	// property the SFS scan needs, and only the candidates are ID-decoded.
-	var order []int32
-	if q.SpatialIndex && !q.unconstrained() {
+	if q.SpatialIndex && !q.Unconstrained() {
 		if cand, ok := rel.RangeCandidates(q.Pos, q.D); ok {
 			order = cand
 		}
@@ -194,11 +240,10 @@ func HybridSkylineScratch(rel *storage.Hybrid, q Query, flt *tuple.Tuple, vdr VD
 		ids = rel.DecodeIDs()
 	}
 
-	var sky []int // slots of accepted skyline tuples
 	if sc != nil {
 		sky = sc.sky[:0]
 	}
-	constrained := !q.unconstrained()
+	constrained := !q.Unconstrained()
 	scanned, inRange, distChecks, idCmp := 0, 0, 0, 0
 	for s := 0; s < count; s++ {
 		scanned++
@@ -228,10 +273,26 @@ func HybridSkylineScratch(rel *storage.Hybrid, q Query, flt *tuple.Tuple, vdr VD
 	if sc != nil {
 		sc.sky = sky
 	}
-	res.Stats.Scanned += scanned
-	res.Stats.InRange += inRange
-	res.Stats.DistChecks += distChecks
-	res.Stats.IDCmp += idCmp
+	st.Scanned += scanned
+	st.InRange += inRange
+	st.DistChecks += distChecks
+	st.IDCmp += idCmp
+	return order, sky
+}
+
+// Reduce completes an evaluation from the scan's accepted slots (storage
+// indices, as ScanAll returns them): it sets res.Unreduced, applies the
+// filter res.Filter, materializes the survivors into res.Skyline under
+// HybridSkylineScratch's aliasing contract, and performs the dynamic filter
+// pick-up. res must come from Precheck with the same filter and vdr. slots
+// is only read, and may be shared between concurrent calls; a caller that
+// keeps slots for long may hold them at half width.
+func Reduce[S int | int32](rel *storage.Hybrid, slots []S, vdr VDRFunc, sc *Scratch, res *Result) {
+	reduce(rel, nil, slots, res.Filter, vdr, sc, res)
+}
+
+func reduce[S int | int32](rel *storage.Hybrid, order []int32, sky []S, flt *tuple.Tuple, vdr VDRFunc, sc *Scratch, res *Result) {
+	dim := rel.Dim()
 	res.Unreduced = len(sky)
 
 	// Filter application and max-VDR pick-up in one pass over SK_i. With a
@@ -249,7 +310,7 @@ func HybridSkylineScratch(rel *storage.Hybrid, q Query, flt *tuple.Tuple, vdr VD
 	bestSlot := -1
 	bestVDR := math.Inf(-1)
 	for _, k := range sky {
-		i := k
+		i := int(k)
 		if order != nil {
 			i = int(order[k])
 		}
@@ -293,7 +354,6 @@ func HybridSkylineScratch(rel *storage.Hybrid, q Query, flt *tuple.Tuple, vdr VD
 		res.Filter = &t
 		res.FilterVDR = bestVDR
 	}
-	return res
 }
 
 // dominated2 is the dominance kernel for the dominant dim==2 case: with a
@@ -381,7 +441,7 @@ func BNLSkylineScratch(rel storage.Relation, q Query, flt *tuple.Tuple, vdr VDRF
 	if flt != nil && vdr != nil {
 		res.FilterVDR = vdr(*flt)
 	}
-	if !q.unconstrained() && rel.MBR().MinDist(q.Pos) > q.D {
+	if !q.Unconstrained() && rel.MBR().MinDist(q.Pos) > q.D {
 		res.Stats.SkippedMBR = true
 		return res
 	}
@@ -418,7 +478,7 @@ func BNLSkylineScratch(rel storage.Relation, q Query, flt *tuple.Tuple, vdr VDRF
 next:
 	for i := 0; i < rel.Len(); i++ {
 		res.Stats.Scanned++
-		if !q.unconstrained() {
+		if !q.Unconstrained() {
 			res.Stats.DistChecks++
 			if !q.inRange(rel.Pos(i)) {
 				continue

@@ -232,6 +232,26 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestRunIsBitDeterministic repeats the 100-device benchmark scenario, where
+// mobility breaks enough links for devices to lose several routes at once,
+// and demands the same run every time. Go randomizes map iteration per
+// range statement, so any event order taken from a map shows here within a
+// few repetitions: the RERR order out of aodv's route table did, as a frame
+// or two per run.
+func TestRunIsBitDeterministic(t *testing.T) {
+	for _, strategy := range []Forwarding{BreadthFirst, DepthFirst} {
+		p := benchScenarioParams(strategy)
+		first := Run(p)
+		for rep := 1; rep < 5; rep++ {
+			out := Run(p)
+			if out.Events != first.Events || out.Radio != first.Radio || out.Aodv != first.Aodv {
+				t.Fatalf("%v: run %d of one seed diverged from the first:\nevents %d vs %d\nradio  %+v\n   vs  %+v\naodv   %+v\n   vs  %+v",
+					strategy, rep, out.Events, first.Events, out.Radio, first.Radio, out.Aodv, first.Aodv)
+			}
+		}
+	}
+}
+
 func TestMobileScenarioRuns(t *testing.T) {
 	p := DefaultParams()
 	p.Grid = 4

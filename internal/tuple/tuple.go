@@ -198,6 +198,32 @@ func (r Rect) MinDist(p Point) float64 {
 	return math.Hypot(dx, dy)
 }
 
+// FarCorner returns the corner of r farthest from p, which is the point of
+// r farthest from p. Each coordinate is chosen by comparing the computed
+// differences, so no coordinate inside r differs from p's by more than the
+// corner's does, in floating point as well as exactly.
+func (r Rect) FarCorner(p Point) Point {
+	c := Point{X: r.MinX, Y: r.MinY}
+	if math.Abs(p.X-r.MaxX) > math.Abs(p.X-r.MinX) {
+		c.X = r.MaxX
+	}
+	if math.Abs(p.Y-r.MaxY) > math.Abs(p.Y-r.MinY) {
+		c.Y = r.MaxY
+	}
+	return c
+}
+
+// MaxDist returns the maximum Euclidean distance from p to any point of r,
+// the dual of MinDist: a query whose distance of interest reaches it covers
+// everything inside r. An empty rectangle has no farthest point; MaxDist
+// then returns -Inf, the identity of max.
+func (r Rect) MaxDist(p Point) float64 {
+	if r.IsEmpty() {
+		return math.Inf(-1)
+	}
+	return p.Dist(r.FarCorner(p))
+}
+
 // Center returns the rectangle's center point.
 func (r Rect) Center() Point {
 	return Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}

@@ -248,6 +248,64 @@ func TestMinDistLowerBoundsInteriorDistances(t *testing.T) {
 	}
 }
 
+func TestRectMaxDist(t *testing.T) {
+	r := Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 20}
+	cases := []struct {
+		p      Point
+		corner Point
+		want   float64
+	}{
+		{Point{2, 5}, Point{10, 20}, 17},     // inside: 8-15-17 to the far corner
+		{Point{7, 16}, Point{0, 0}, 17.4642}, // inside, nearer the top right
+		{Point{10, 20}, Point{0, 0}, 22.3607},
+		{Point{0, 0}, Point{10, 20}, 22.3607}, // on a corner: the opposite one
+		{Point{15, 8}, Point{0, 20}, 19.2094}, // right of
+		{Point{4, -12}, Point{10, 20}, 32.5576},
+		{Point{-6, -8}, Point{10, 20}, 32.2490}, // diagonal: beyond MinDist's corner
+		{Point{13, 24}, Point{0, 0}, 27.2947},
+	}
+	for _, c := range cases {
+		if got := r.FarCorner(c.p); got != c.corner {
+			t.Errorf("FarCorner(%v) = %v, want %v", c.p, got, c.corner)
+		}
+		if got := r.MaxDist(c.p); math.Abs(got-c.want) > 1e-4 {
+			t.Errorf("MaxDist(%v) = %v, want %v", c.p, got, c.want)
+		}
+		if r.MaxDist(c.p) < r.MinDist(c.p) {
+			t.Errorf("MaxDist(%v) is below MinDist", c.p)
+		}
+	}
+	if d := (Rect{MinX: 3, MinY: 4, MaxX: 3, MaxY: 4}).MaxDist(Point{0, 0}); d != 5 {
+		t.Errorf("MaxDist to a one-point rectangle = %v, want 5", d)
+	}
+	if !math.IsInf(EmptyRect().MaxDist(Point{0, 0}), -1) {
+		t.Errorf("MaxDist of an empty rect should be -Inf")
+	}
+}
+
+// No point of the rectangle may lie farther than the far corner, by the
+// range predicate's own arithmetic: that is what lets a query that reaches
+// the corner skip the per-tuple distance checks.
+func TestFarCornerUpperBoundsInteriorDistances(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	for i := 0; i < 2000; i++ {
+		rect := Rect{MinX: r.Float64() * 100, MinY: r.Float64() * 100}
+		rect.MaxX = rect.MinX + r.Float64()*100
+		rect.MaxY = rect.MinY + r.Float64()*100
+		q := Point{r.Float64()*400 - 100, r.Float64()*400 - 100}
+		far := q.DistSq(rect.FarCorner(q))
+		for _, p := range []Point{
+			{rect.MinX, rect.MinY}, {rect.MinX, rect.MaxY}, {rect.MaxX, rect.MinY}, {rect.MaxX, rect.MaxY},
+			{rect.MinX + r.Float64()*(rect.MaxX-rect.MinX), rect.MinY + r.Float64()*(rect.MaxY-rect.MinY)},
+		} {
+			if d := q.DistSq(p); d > far {
+				t.Fatalf("point %v of %+v is at squared distance %v from %v, beyond the far corner's %v",
+					p, rect, d, q, far)
+			}
+		}
+	}
+}
+
 func TestBoundingRect(t *testing.T) {
 	ts := []Tuple{tp(1, 5, 0), tp(4, 2, 0), tp(3, 3, 0)}
 	r := BoundingRect(ts)
