@@ -51,8 +51,8 @@ func DefaultConfig() Config {
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.TTL <= 0 {
-		return fmt.Errorf("aodv: non-positive TTL %d", c.TTL)
+	if c.TTL <= 0 || c.TTL > maxHops {
+		return fmt.Errorf("aodv: TTL %d outside [1,%d]", c.TTL, maxHops)
 	}
 	if c.RouteLifetime <= 0 || c.DiscoveryTimeout <= 0 || c.SeenLifetime <= 0 {
 		return fmt.Errorf("aodv: non-positive timing constants")
@@ -119,8 +119,6 @@ func New(eng *sim.Engine, med *radio.Medium, cfg Config) *Network {
 func (n *Network) AddNode(mob mobility.Model, onData DataHandler, onLocal LocalHandler) radio.NodeID {
 	nd := &node{
 		net:     n,
-		routes:  make(map[radio.NodeID]*route),
-		seen:    make(map[seenKey]float64),
 		pending: make(map[radio.NodeID]*discovery),
 		onData:  onData,
 		onLocal: onLocal,
@@ -161,8 +159,7 @@ func (n *Network) BroadcastLocalRouted(src, orig radio.NodeID, hops int, payload
 // HasRoute reports whether src currently holds a valid route to dst
 // (useful for tests and diagnostics).
 func (n *Network) HasRoute(src, dst radio.NodeID) bool {
-	r, ok := n.nodes[src].routes[dst]
-	return ok && r.valid && r.expires > n.eng.Now()
+	return n.nodes[src].validRoute(dst) != nil
 }
 
 // --- wire format -----------------------------------------------------------
@@ -222,19 +219,6 @@ func (l *localRoutedPkt) SizeBytes() int { return 12 + l.Inner.SizeBytes() }
 
 // --- node state ------------------------------------------------------------
 
-type route struct {
-	nextHop radio.NodeID
-	seq     uint32
-	hops    int
-	expires float64
-	valid   bool
-}
-
-type seenKey struct {
-	orig radio.NodeID
-	id   uint32
-}
-
 type discovery struct {
 	packets []*dataPkt
 	retries int
@@ -246,8 +230,8 @@ type node struct {
 	id      radio.NodeID
 	seqNo   uint32
 	rreqID  uint32
-	routes  map[radio.NodeID]*route
-	seen    map[seenKey]float64
+	routes  routeTable
+	seen    seenSet
 	pending map[radio.NodeID]*discovery
 	onData  DataHandler
 	onLocal LocalHandler
@@ -257,26 +241,26 @@ func (nd *node) now() float64 { return nd.net.eng.Now() }
 
 // touchRoute installs or refreshes a route.
 func (nd *node) touchRoute(dst, nextHop radio.NodeID, seq uint32, hops int) {
-	r, ok := nd.routes[dst]
+	hops = min(hops, maxHops)
+	r := nd.routes.findOrInsert(dst)
 	now := nd.now()
-	fresher := !ok || !r.valid || r.expires <= now ||
-		seq > r.seq || (seq == r.seq && hops < r.hops)
+	fresher := !r.valid || r.expires <= now ||
+		seq > r.seq || (seq == r.seq && hops < int(r.hops))
 	if fresher {
-		nd.routes[dst] = &route{
-			nextHop: nextHop, seq: seq, hops: hops,
-			expires: now + nd.net.cfg.RouteLifetime, valid: true,
-		}
+		r.nextHop, r.seq, r.hops, r.valid = int32(nextHop), seq, uint16(hops), true
+		r.expires = now + nd.net.cfg.RouteLifetime
 		return
 	}
-	if r.nextHop == nextHop {
+	if r.nextHop == int32(nextHop) {
 		r.expires = now + nd.net.cfg.RouteLifetime
 	}
 }
 
-// validRoute returns the current route to dst, or nil.
+// validRoute returns the current route to dst, or nil. The pointer is good
+// until the next touchRoute.
 func (nd *node) validRoute(dst radio.NodeID) *route {
-	r, ok := nd.routes[dst]
-	if !ok || !r.valid || r.expires <= nd.now() {
+	r := nd.routes.find(dst)
+	if r == nil || !r.valid || r.expires <= nd.now() {
 		return nil
 	}
 	return r
@@ -284,14 +268,15 @@ func (nd *node) validRoute(dst radio.NodeID) *route {
 
 // invalidateVia marks every route through the broken neighbour invalid and
 // returns the destinations lost, in ascending order: the caller sends one
-// RERR per destination, and map order there would make the frame sequence,
-// and so a whole run, differ between executions of one seed.
+// RERR per destination, and slot order there would tie the frame sequence,
+// and so a whole run, to the table's growth history.
 func (nd *node) invalidateVia(neighbor radio.NodeID) []radio.NodeID {
 	var lost []radio.NodeID
-	for dst, r := range nd.routes {
-		if r.valid && r.nextHop == neighbor {
+	for i := range nd.routes.slots {
+		r := &nd.routes.slots[i]
+		if r.valid && r.nextHop == int32(neighbor) {
 			r.valid = false
-			lost = append(lost, dst)
+			lost = append(lost, radio.NodeID(r.dst))
 		}
 	}
 	slices.Sort(lost)
@@ -331,11 +316,10 @@ func (nd *node) receive(from radio.NodeID, p radio.Payload) {
 }
 
 func (nd *node) handleRREQ(from radio.NodeID, q *rreqPkt) {
-	key := seenKey{orig: q.Orig, id: q.ID}
-	if exp, ok := nd.seen[key]; ok && exp > nd.now() {
+	now := nd.now()
+	if nd.seen.checkAndSet(seenKey(q.Orig, q.ID), now, now+nd.net.cfg.SeenLifetime) {
 		return
 	}
-	nd.seen[key] = nd.now() + nd.net.cfg.SeenLifetime
 
 	if q.Orig == nd.id {
 		return // own flood came back
@@ -356,7 +340,7 @@ func (nd *node) handleRREQ(from radio.NodeID, q *rreqPkt) {
 	// Intermediate node with a fresh-enough route replies on the
 	// destination's behalf.
 	if r := nd.validRoute(q.Dst); r != nil && r.seq >= q.DstSeq {
-		nd.sendRREP(&rrepPkt{Orig: q.Orig, Dst: q.Dst, DstSeq: r.seq, Hops: r.hops})
+		nd.sendRREP(&rrepPkt{Orig: q.Orig, Dst: q.Dst, DstSeq: r.seq, Hops: int(r.hops)})
 		return
 	}
 	// Otherwise keep flooding.
@@ -380,7 +364,7 @@ func (nd *node) sendRREP(p *rrepPkt) {
 	nd.net.Counters.RREPSent++
 	nd.net.met.RREPSent.Inc()
 	nd.net.met.ControlBytes.Add(rrepBytes)
-	nd.net.med.Unicast(nd.id, r.nextHop, p)
+	nd.net.med.Unicast(nd.id, radio.NodeID(r.nextHop), p)
 }
 
 func (nd *node) handleRREP(from radio.NodeID, p *rrepPkt) {
@@ -397,8 +381,7 @@ func (nd *node) handleRREP(from radio.NodeID, p *rrepPkt) {
 }
 
 func (nd *node) handleRERR(from radio.NodeID, p *rerrPkt) {
-	r, ok := nd.routes[p.Dst]
-	if ok && r.valid && r.nextHop == from {
+	if r := nd.routes.find(p.Dst); r != nil && r.valid && r.nextHop == int32(from) {
 		r.valid = false
 	}
 }
@@ -432,8 +415,9 @@ func (nd *node) sendData(p *dataPkt) {
 		nd.queueForDiscovery(p)
 		return
 	}
+	nextHop := radio.NodeID(r.nextHop)
 	nd.net.Counters.DataForwarded++
-	if nd.net.med.Unicast(nd.id, r.nextHop, p) {
+	if nd.net.med.Unicast(nd.id, nextHop, p) {
 		r.expires = nd.now() + nd.net.cfg.RouteLifetime
 		nd.net.met.DataForwarded.Inc()
 		if nd.net.ForwardHook != nil {
@@ -444,7 +428,7 @@ func (nd *node) sendData(p *dataPkt) {
 	// Link break: invalidate, tell upstream, and attempt local repair.
 	nd.net.Counters.DataForwarded-- // transmission did not happen
 	nd.net.met.RouteFailures.Inc()
-	for _, lost := range nd.invalidateVia(r.nextHop) {
+	for _, lost := range nd.invalidateVia(nextHop) {
 		if p.Src != nd.id {
 			nd.sendRERRToward(p.Src, lost)
 		}
@@ -458,15 +442,14 @@ func (nd *node) sendRERRToward(src, lostDst radio.NodeID) {
 	if r == nil {
 		return
 	}
-	lr := nd.routes[lostDst]
 	var seq uint32
-	if lr != nil {
+	if lr := nd.routes.find(lostDst); lr != nil {
 		seq = lr.seq + 1
 	}
 	nd.net.Counters.RERRSent++
 	nd.net.met.RERRSent.Inc()
 	nd.net.met.ControlBytes.Add(rerrBytes)
-	nd.net.med.Unicast(nd.id, r.nextHop, &rerrPkt{Dst: lostDst, DstSeq: seq})
+	nd.net.med.Unicast(nd.id, radio.NodeID(r.nextHop), &rerrPkt{Dst: lostDst, DstSeq: seq})
 }
 
 // queueForDiscovery buffers a packet and kicks off route discovery.
@@ -488,7 +471,7 @@ func (nd *node) startDiscovery(dst radio.NodeID) {
 	nd.rreqID++
 	nd.seqNo++
 	var dstSeq uint32
-	if r, ok := nd.routes[dst]; ok {
+	if r := nd.routes.find(dst); r != nil {
 		dstSeq = r.seq
 	}
 	id := nd.rreqID

@@ -28,12 +28,24 @@ type teleportModel struct{ p tuple.Point }
 
 func (m *teleportModel) Pos(float64) tuple.Point { return m.p }
 
+// cellNow returns the fine cell of id's current position and whether that
+// cell lies outside the box the grid occupied at its epoch.
+func cellNow(med *Medium, id NodeID) (cx, cy int32, outside bool) {
+	g := &med.grid
+	p := med.PosOf(id)
+	cx, cy = g.cellCoord(p.X, p.Y)
+	lx, ly := cx-g.minX, cy-g.minY
+	return cx, cy, lx < 0 || ly < 0 || lx >= g.w || ly >= g.h
+}
+
 // TestEpochGridMatchesBruteForce is the property test for the epoch grid
 // under a declared speed bound: random waypoint motion, probe times chosen
-// so that most probes land *between* rebuilds — exercising stale buckets,
-// the expanded probe ring, and incremental cell migration — and every
-// probe must still return exactly the brute-force neighbor set, same IDs,
-// same order.
+// so that most probes land *between* rebuilds — exercising buckets frozen
+// at the epoch and the expanded probe ring — and every probe must still
+// return exactly the brute-force neighbor set, same IDs, same order. Two
+// extra nodes walk straight lines, one out of the field and one into it, so
+// that between epochs nodes cross cell boundaries, leave the box occupied
+// at the epoch, and are probed from outside it.
 func TestEpochGridMatchesBruteForce(t *testing.T) {
 	for _, tc := range []struct {
 		nodes int
@@ -52,16 +64,21 @@ func TestEpochGridMatchesBruteForce(t *testing.T) {
 			for i := 0; i < tc.nodes; i++ {
 				med.AddNode(mobility.NewWaypoint(mcfg, int64(i+1)), func(NodeID, Payload) {})
 			}
+			med.AddNode(linearModel{x0: 60, y0: 60, vx: -6, vy: -6}, func(NodeID, Payload) {})
+			med.AddNode(linearModel{x0: -300, y0: 500, vx: 8}, func(NodeID, Payload) {})
+			nodes := NodeID(med.NumNodes())
 			r := rand.New(rand.NewSource(17))
 			now := 0.0
 			rebuilds := 0
 			lastEpoch := -1.0
+			epochCell := make([][2]int32, nodes)
+			crossed, fromOutside := 0, 0
 			for step := 0; step < 120; step++ {
 				// Small steps relative to side/maxSpeed keep several probe
 				// instants inside each epoch window.
 				now += r.Float64() * 2
 				eng.Run(now)
-				for id := NodeID(0); id < NodeID(tc.nodes); id++ {
+				for id := NodeID(0); id < nodes; id++ {
 					got := med.Neighbors(id)
 					want := bruteNeighbors(med, id)
 					if !slices.Equal(got, want) {
@@ -69,10 +86,25 @@ func TestEpochGridMatchesBruteForce(t *testing.T) {
 							now, id, got, want)
 					}
 				}
+				for id := NodeID(0); id < nodes; id++ {
+					cx, cy, outside := cellNow(med, id)
+					if med.grid.epoch != lastEpoch {
+						epochCell[id] = [2]int32{cx, cy} // rebuilt this step: epoch == now
+					} else if epochCell[id] != [2]int32{cx, cy} {
+						crossed++
+					}
+					if outside {
+						fromOutside++
+					}
+				}
 				if med.grid.epoch != lastEpoch {
 					lastEpoch = med.grid.epoch
 					rebuilds++
 				}
+			}
+			if crossed == 0 || fromOutside == 0 {
+				t.Fatalf("no probe of a node that crossed a cell boundary since the epoch (%d) or from outside the epoch's box (%d)",
+					crossed, fromOutside)
 			}
 			// The point of the epoch grid: far fewer rebuilds than probe
 			// timesteps. If this fires, the grid fell back to per-timestep
@@ -84,10 +116,12 @@ func TestEpochGridMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestEpochGridBoundaryCrossing pins incremental cell migration exactly at
-// cell boundaries: nodes ride straight lines that cross fine-cell edges at
-// known instants, and the probe set is checked just before, at, and just
-// after each crossing.
+// TestEpochGridBoundaryCrossing pins the frozen buckets exactly at cell
+// boundaries: nodes ride straight lines that cross fine-cell edges at known
+// instants, and the probe set is checked just before, at, and just after
+// each crossing. Node 4 crosses x=0 at t=2.5, which is also the edge of the
+// box occupied at the epoch: from then until the rebuild it has a neighbour
+// and is probed from a cell the grid does not have.
 func TestEpochGridBoundaryCrossing(t *testing.T) {
 	eng := sim.NewEngine(5)
 	cfg := DefaultConfig()
@@ -100,13 +134,22 @@ func TestEpochGridBoundaryCrossing(t *testing.T) {
 	med.AddNode(linearModel{x0: 30, y0: 50}, func(NodeID, Payload) {})
 	med.AddNode(linearModel{x0: 180, y0: 50}, func(NodeID, Payload) {})
 	med.AddNode(linearModel{x0: 205, y0: 150, vy: -1}, func(NodeID, Payload) {}) // crosses y=100 at t=50
-	for _, now := range []float64{0, 4.5, 5, 5.5, 20, 49.5, 50, 50.5, 80} {
+	med.AddNode(linearModel{x0: 5, y0: 50, vx: -2}, func(NodeID, Payload) {})
+	for _, now := range []float64{0, 2.4, 2.5, 2.6, 4.5, 5, 5.5, 9.9, 20, 49.5, 50, 50.5, 80} {
 		eng.Run(now)
-		for id := NodeID(0); id < 4; id++ {
+		for id := NodeID(0); id < 5; id++ {
 			got := med.Neighbors(id)
 			want := bruteNeighbors(med, id)
 			if !slices.Equal(got, want) {
 				t.Fatalf("t=%g node %d: grid %v != brute force %v", now, id, got, want)
+			}
+		}
+		if now > 2.5 && now < 10 {
+			if _, _, outside := cellNow(med, 4); !outside || med.grid.epoch != 0 {
+				t.Fatalf("t=%g: node 4 should be outside the box of epoch 0 (epoch %g)", now, med.grid.epoch)
+			}
+			if got := med.Neighbors(4); !slices.Contains(got, 1) {
+				t.Fatalf("t=%g: node 4 probed from outside the box sees %v, want node 1 among them", now, got)
 			}
 		}
 	}

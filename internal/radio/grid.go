@@ -11,31 +11,27 @@ import "manetskyline/internal/tuple"
 // counts, so probes over large rings skip empty regions in one comparison
 // per block instead of touching 64 empty buckets.
 //
-// Unlike the earlier design — which rebuilt the whole index whenever the
-// engine clock moved — the grid is rebuilt on *epochs* and tolerates stale
-// entries in between, using the physical speed bound of the mobility model:
+// The grid is rebuilt on *epochs* and its buckets stay frozen in between,
+// using the physical speed bound of the mobility model:
 //
-//   - Every node's bucket reflects its position at some time t_i in
-//     [epoch, now]: nodes migrate buckets incrementally whenever their
-//     memoized position is refreshed (and a full rebuild refreshes all).
-//   - A node within Range of the probe point now sits in a bucket at most
-//     Range + MaxSpeed·(now−epoch) away from it, so probing all cells
-//     intersecting that expanded ring finds every true neighbor — the probe
-//     stays *exact*, never approximate.
+//   - Every node's bucket holds its position at the epoch, so a node within
+//     Range of the probe point now sits in a bucket at most
+//     Range + MaxSpeed·(now−epoch) away from it: probing all cells
+//     intersecting that expanded ring, and re-checking the candidates at
+//     their true positions, finds exactly the true neighbors.
 //   - When the expansion exceeds one cell side, the grid rebuilds (O(n),
 //     amortized over the epoch instead of per event).
 //
-// With MaxSpeed unknown (zero), the grid degenerates to the legacy
-// rebuild-on-every-timestep behavior, which is exact for arbitrary motion —
-// including the teleporting churn the tests inject. A negative MaxSpeed
-// declares all nodes static: the grid is built once and never rebuilt.
+// With MaxSpeed unknown (zero), the grid rebuilds on every timestep, which
+// is exact for arbitrary motion — including the teleporting churn the tests
+// inject. A negative MaxSpeed declares all nodes static: the grid is built
+// once and never rebuilt.
 const coarseShift = 3 // coarse block = 8×8 fine cells
 
 type grid struct {
 	side     float64 // fine cell side (= Range)
 	maxSpeed float64 // speed bound: 0 unknown, <0 static, >0 bound in m/s
-	built    bool
-	overflow bool    // a refresh landed outside the box; rebuild on next probe
+	built    bool    // false until the first build and after AddNode
 	epoch    float64 // time of the last full rebuild
 
 	minX, minY int32 // fine-cell coordinate of cells[0]
@@ -60,26 +56,16 @@ func floorDiv(v, side float64) float64 {
 	return f
 }
 
-// flatIdx converts fine-cell coordinates to a dense index, or -1 when the
-// cell lies outside the current box.
-func (g *grid) flatIdx(cx, cy int32) int32 {
-	lx, ly := cx-g.minX, cy-g.minY
-	if lx < 0 || ly < 0 || lx >= g.w || ly >= g.h {
-		return -1
-	}
-	return ly*g.w + lx
-}
-
 // gridEnsure brings the index up to date for a probe at time now: it
-// rebuilds when the grid is missing, a node escaped the box, the node set
-// grew, or the staleness ring has expanded past one cell side. A rebuild
-// memoizes every node's position at now, so epoch == now afterwards.
+// rebuilds when the grid is missing, the node set grew, or the staleness
+// ring has expanded past one cell side. A rebuild memoizes every node's
+// position at now, so epoch == now afterwards.
 func (m *Medium) gridEnsure(now float64) {
 	g := &m.grid
-	rebuild := !g.built || g.overflow || len(m.nodeCell) != len(m.mobs)
+	rebuild := !g.built
 	if !rebuild {
 		switch {
-		case g.maxSpeed == 0: // unknown motion: legacy per-timestep rebuild
+		case g.maxSpeed == 0: // unknown motion: per-timestep rebuild
 			rebuild = g.epoch != now
 		case g.maxSpeed > 0: // bounded motion: rebuild when drift exceeds a cell
 			rebuild = (now-g.epoch)*g.maxSpeed > g.side
@@ -92,18 +78,14 @@ func (m *Medium) gridEnsure(now float64) {
 }
 
 // gridRebuild reindexes every node at time now. Buckets keep their capacity
-// across rebuilds, and nodes are inserted in ID order so every bucket stays
-// ID-sorted without a sort pass.
+// across rebuilds.
 func (m *Medium) gridRebuild(now float64) {
 	g := &m.grid
 	g.side = m.cfg.Range
-	g.built = false // disable incremental migration while we reindex
-	g.overflow = false
 	n := len(m.mobs)
-	if cap(m.nodeCell) < n {
-		m.nodeCell = make([]int32, n)
+	if words := (n + 63) / 64; len(m.inRange) < words {
+		m.inRange = make([]uint64, words)
 	}
-	m.nodeCell = m.nodeCell[:n]
 	if n == 0 {
 		g.w, g.h = 0, 0
 		g.epoch = now
@@ -128,15 +110,9 @@ func (m *Medium) gridRebuild(now float64) {
 			maxY = cy
 		}
 	}
-	// Margin cells absorb drift between rebuilds so incremental migration
-	// rarely escapes the box (escape just forces an early rebuild).
-	var margin int32
-	if g.maxSpeed > 0 {
-		margin = 2
-	}
-	g.minX, g.minY = minX-margin, minY-margin
-	g.w = maxX - minX + 1 + 2*margin
-	g.h = maxY - minY + 1 + 2*margin
+	g.minX, g.minY = minX, minY
+	g.w = maxX - minX + 1
+	g.h = maxY - minY + 1
 	size := int(g.w) * int(g.h)
 	for len(g.cells) < size {
 		g.cells = append(g.cells, nil)
@@ -153,11 +129,10 @@ func (m *Medium) gridRebuild(now float64) {
 	for i := 0; i < csize; i++ {
 		g.coarse[i] = 0
 	}
-	// Pass 2: bucket the nodes in ID order.
+	// Pass 2: bucket the nodes.
 	for i := 0; i < n; i++ {
 		cx, cy := g.cellCoord(m.posX[i], m.posY[i])
-		idx := g.flatIdx(cx, cy)
-		m.nodeCell[i] = idx
+		idx := (cy-g.minY)*g.w + (cx - g.minX)
 		g.cells[idx] = append(g.cells[idx], int32(i))
 		g.coarse[g.coarseIdx(idx)]++
 	}
@@ -171,60 +146,10 @@ func (g *grid) coarseIdx(fine int32) int32 {
 	return (ly>>coarseShift)*g.cw + (lx >> coarseShift)
 }
 
-// gridMigrate moves node i to the fine cell containing (x, y) when its
-// refreshed position crossed a cell boundary. A destination outside the box
-// leaves the node in its old bucket — still exact, since the probe ring
-// covers any position the node held since the epoch — and flags the grid
-// for rebuild on the next probe.
-func (m *Medium) gridMigrate(i int32, x, y float64) {
-	g := &m.grid
-	cx, cy := g.cellCoord(x, y)
-	idx := g.flatIdx(cx, cy)
-	old := m.nodeCell[i]
-	if idx == old {
-		return
-	}
-	if idx < 0 {
-		g.overflow = true
-		return
-	}
-	// Remove from the old bucket (ID-sorted: binary search).
-	b := g.cells[old]
-	lo, hi := 0, len(b)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if b[mid] < i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	copy(b[lo:], b[lo+1:])
-	g.cells[old] = b[:len(b)-1]
-	g.coarse[g.coarseIdx(old)]--
-	// Sorted insert into the new bucket.
-	nb := g.cells[idx]
-	lo, hi = 0, len(nb)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if nb[mid] < i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	nb = append(nb, 0)
-	copy(nb[lo+1:], nb[lo:])
-	nb[lo] = i
-	g.cells[idx] = nb
-	g.coarse[g.coarseIdx(idx)]++
-	m.nodeCell[i] = idx
-}
-
 // gridGather collects the node indices of every bucket intersecting the
 // disk of the given radius around p into m.scratch, or reports full=true
 // when the probe covers the whole occupied box (the caller then scans all
-// nodes directly, in ID order, with no gather or re-sort). Coarse blocks
+// nodes directly, in ID order, with no gather). Coarse blocks
 // with zero occupancy are skipped wholesale, and fine cells entirely
 // outside the disk are pruned by rectangle distance.
 func (m *Medium) gridGather(p tuple.Point, radius float64) (cand []int32, full bool) {

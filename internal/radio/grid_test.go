@@ -66,28 +66,51 @@ func TestNeighborsGridMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// waypointMedium builds a medium with m random-waypoint nodes
+// mid-trajectory, the configuration the Figure 8-12 sweeps stress (9-100
+// devices moving in the 1 km² field).
+func waypointMedium(m int, cfg Config) (*sim.Engine, *Medium) {
+	eng := sim.NewEngine(7)
+	med := New(eng, cfg)
+	mcfg := mobility.DefaultConfig()
+	for i := 0; i < m; i++ {
+		med.AddNode(mobility.NewWaypoint(mcfg, int64(i+1)), func(NodeID, Payload) {})
+	}
+	eng.Run(100) // advance the clock so every node is mid-trajectory
+	return eng, med
+}
+
 // TestNeighborsIntoZeroAllocs pins the steady-state neighbor query and
 // broadcast paths at zero heap allocations, in the style of the localsky
-// TestHybridSkylineScratchZeroAllocs gate: one warm-up call sizes every
-// buffer, then each further operation must allocate nothing.
+// TestHybridSkylineScratchZeroAllocs gate: one warm-up round sizes every
+// buffer — the ID bitset at its high-water size, once — then each further
+// operation must allocate nothing. Probing from every node takes both the
+// full-coverage scan (a centre cell at 380 m) and the gather-and-sweep.
 func TestNeighborsIntoZeroAllocs(t *testing.T) {
-	eng, med := benchMedium(100)
-	buf := med.NeighborsInto(0, nil) // warm up buffers
-	allocs := testing.AllocsPerRun(20, func() {
-		buf = med.NeighborsInto(0, buf[:0])
-	})
-	if allocs != 0 {
-		t.Errorf("NeighborsInto allocated %.1f objects/op, want 0", allocs)
-	}
+	for _, rng := range []float64{380, 100} {
+		cfg := DefaultConfig()
+		cfg.Range = rng
+		eng, med := waypointMedium(100, cfg)
+		var buf []NodeID
+		all := func() {
+			for id := NodeID(0); id < 100; id++ {
+				buf = med.NeighborsInto(id, buf[:0])
+			}
+		}
+		all() // warm up buffers
+		if allocs := testing.AllocsPerRun(20, all); allocs != 0 {
+			t.Errorf("range %g: NeighborsInto allocated %.1f objects per 100 probes, want 0", rng, allocs)
+		}
 
-	p := benchPayload(64)
-	med.Broadcast(0, p)
-	eng.RunAll() // warm up the delivery pool and event queue
-	allocs = testing.AllocsPerRun(20, func() {
+		p := fakePayload(64)
 		med.Broadcast(0, p)
-		eng.RunAll()
-	})
-	if allocs != 0 {
-		t.Errorf("Broadcast+deliver allocated %.1f objects/op, want 0", allocs)
+		eng.RunAll() // warm up the delivery pool and event queue
+		allocs := testing.AllocsPerRun(20, func() {
+			med.Broadcast(0, p)
+			eng.RunAll()
+		})
+		if allocs != 0 {
+			t.Errorf("range %g: Broadcast+deliver allocated %.1f objects/op, want 0", rng, allocs)
+		}
 	}
 }

@@ -36,7 +36,7 @@ func mobilityAt(x, y float64) linearModel { return linearModel{x0: x, y0: y} }
 // as the legacy shared-channel model allows.
 func TestLinkQueueSerializesReceiver(t *testing.T) {
 	eng, med, rx := linkQueueMedium(t, 8)
-	p := benchPayload(64)
+	p := fakePayload(64)
 	airtime := float64(64+med.Config().HeaderBytes) * 8 / med.Config().Bandwidth
 	nominal := airtime + med.Config().Overhead
 	for s := NodeID(1); s <= 3; s++ {
@@ -64,7 +64,7 @@ func TestLinkQueueSerializesReceiver(t *testing.T) {
 // receiver's busy horizon and must be dropped and counted.
 func TestLinkQueueBoundedDrop(t *testing.T) {
 	eng, med, rx := linkQueueMedium(t, 1)
-	p := benchPayload(64)
+	p := fakePayload(64)
 	for s := NodeID(1); s <= 3; s++ {
 		med.Broadcast(s, p)
 	}
@@ -95,7 +95,7 @@ func TestLinkQueueBoundedDrop(t *testing.T) {
 // shared-event delivery path.
 func TestLegacySlotRecycling(t *testing.T) {
 	eng, med, rx := linkQueueMedium(t, 0)
-	p := benchPayload(64)
+	p := fakePayload(64)
 	for round := 0; round < 4; round++ {
 		for s := NodeID(1); s <= 3; s++ {
 			med.Broadcast(s, p)

@@ -21,8 +21,8 @@ package radio
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
-	"slices"
 
 	"manetskyline/internal/mobility"
 	"manetskyline/internal/sim"
@@ -175,10 +175,10 @@ type Medium struct {
 	posX      []float64
 	posY      []float64
 	rxBusy    []float64 // receive horizon per receiver (LinkQueue mode)
-	nodeCell  []int32   // fine grid cell per node, maintained by grid.go
 
 	grid    grid
-	scratch []int32 // candidate buffer for grid probes
+	scratch []int32  // candidate buffer for grid probes
+	inRange []uint64 // bitset over node IDs, all zero between probes
 
 	// In-flight frames are free-listed records referenced by slot index
 	// from compact scheduler events, so steady-state transmission
@@ -247,16 +247,12 @@ func (m *Medium) AddNode(mob mobility.Model, h Handler) NodeID {
 func (m *Medium) NumNodes() int { return len(m.mobs) }
 
 // posOfIdx returns node i's memoized position at time now, refreshing the
-// memo (and migrating the node's grid cell under a declared speed bound)
-// when the clock has moved since the last refresh.
+// memo when the clock has moved since the last refresh.
 func (m *Medium) posOfIdx(i int32, now float64) tuple.Point {
 	if m.posAt[i] != now {
 		p := m.mobs[i].Pos(now)
 		m.posX[i], m.posY[i] = p.X, p.Y
 		m.posAt[i] = now
-		if m.grid.built && m.grid.maxSpeed != 0 {
-			m.gridMigrate(i, p.X, p.Y)
-		}
 	}
 	return tuple.Point{X: m.posX[i], Y: m.posY[i]}
 }
@@ -286,7 +282,7 @@ func (m *Medium) Neighbors(id NodeID) []NodeID {
 // are probed (see grid.go for the staleness ring). When the probe covers
 // every occupied cell — the norm at the paper's geometry, where Range is a
 // large fraction of the field — it degenerates to a direct scan over the
-// memoized positions, with no gather or re-sort.
+// memoized positions, with no gather.
 func (m *Medium) NeighborsInto(id NodeID, buf []NodeID) []NodeID {
 	buf = buf[:0]
 	m.met.NeighborQueries.Inc()
@@ -314,19 +310,27 @@ func (m *Medium) NeighborsInto(id NodeID, buf []NodeID) []NodeID {
 		}
 		return buf
 	}
-	// Cells are visited in block order, so candidates must be re-sorted to
-	// restore the global ID order the brute-force scan produced.
+	// Cells are visited in block order: mark the candidates in range in the
+	// ID bitset, then sweep the words touched to emit them in the global ID
+	// order the brute-force scan produces.
 	m.met.NeighborScanned.Add(int64(len(cand)))
-	slices.Sort(cand)
+	lo, hi := len(m.inRange), -1
 	for _, ni := range cand {
 		if NodeID(ni) == id {
 			continue
 		}
 		if p.WithinDist(m.posOfIdx(ni, now), m.cfg.Range) {
-			buf = append(buf, NodeID(ni))
+			w := int(ni >> 6)
+			m.inRange[w] |= 1 << (ni & 63)
+			lo, hi = min(lo, w), max(hi, w)
 		}
 	}
-	m.scratch = cand[:0]
+	for w := lo; w <= hi; w++ {
+		for word := m.inRange[w]; word != 0; word &= word - 1 {
+			buf = append(buf, NodeID(w<<6+bits.TrailingZeros64(word)))
+		}
+		m.inRange[w] = 0
+	}
 	return buf
 }
 
@@ -368,8 +372,9 @@ func (m *Medium) runDelivery(slot uint32, _ uint64) {
 	from, p, to := d.from, d.p, d.to
 	// Handlers may transmit, growing m.inflight: use the captured locals,
 	// not d, past this point.
+	fromPos := m.PosOf(from)
 	for _, rcv := range to {
-		if !m.received(from, rcv) {
+		if !m.received(from, rcv, fromPos) {
 			continue
 		}
 		m.Counters.Receptions++
@@ -388,7 +393,7 @@ func (m *Medium) runLinkDelivery(slot uint32, b uint64) {
 	d.refs--
 	last := d.refs == 0
 	rcv := NodeID(b)
-	if m.received(from, rcv) {
+	if m.received(from, rcv, m.PosOf(from)) {
 		m.Counters.Receptions++
 		m.met.Deliveries.Inc()
 		m.handlers[rcv](from, p) // may grow m.inflight; d is stale after
@@ -494,23 +499,24 @@ func (m *Medium) Unicast(from, to NodeID, p Payload) bool {
 }
 
 // received decides, at delivery time, whether a frame from → to arrives:
-// hard range cut, then edge fading, then the independent loss process.
-func (m *Medium) received(from, to NodeID) bool {
+// hard range cut (the predicate neighbour discovery uses), then edge fading,
+// then the independent loss process. fromPos is the sender's position now.
+func (m *Medium) received(from, to NodeID, fromPos tuple.Point) bool {
+	toPos := m.PosOf(to)
 	if m.faults != nil &&
-		m.faults.CutLink(from, to, m.eng.Now(), m.PosOf(from), m.PosOf(to)) {
+		m.faults.CutLink(from, to, m.eng.Now(), fromPos, toPos) {
 		m.Counters.DroppedFault++
 		m.met.DropsFault.Inc()
 		return false
 	}
-	d := m.PosOf(from).Dist(m.PosOf(to))
-	if d > m.cfg.Range {
+	if !fromPos.WithinDist(toPos, m.cfg.Range) {
 		m.Counters.DroppedRange++
 		m.met.DropsRange.Inc()
 		return false
 	}
 	if m.cfg.FadeMargin > 0 {
 		edge := m.cfg.Range * (1 - m.cfg.FadeMargin)
-		if d > edge {
+		if d := fromPos.Dist(toPos); d > edge {
 			pRecv := (m.cfg.Range - d) / (m.cfg.Range - edge)
 			if m.rng.Float64() >= pRecv {
 				m.Counters.DroppedRange++

@@ -1,6 +1,8 @@
 package radio
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"manetskyline/internal/mobility"
@@ -173,6 +175,36 @@ func TestNeighborsAndInRange(t *testing.T) {
 	}
 	if m.InRange(0, 0) {
 		t.Errorf("a node is not its own neighbor")
+	}
+}
+
+// TestRangeBoundaryOnePredicate: at and around exactly Range, on an axis and
+// on a diagonal, delivery (received) and neighbour discovery (NeighborsInto,
+// InRange) must give one answer. A Hypot on one side and a squared compare
+// on the other round differently in the last place.
+func TestRangeBoundaryOnePredicate(t *testing.T) {
+	r := DefaultConfig().Range
+	for _, d := range []float64{
+		r * (1 - 1e-16), r, r * (1 + 1e-16),
+		math.Nextafter(r, 0), math.Nextafter(r, 2*r), r - 1, r + 1,
+	} {
+		for name, at := range map[string]tuple.Point{
+			"axis":     {X: d},
+			"diagonal": {X: d / math.Sqrt2, Y: d / math.Sqrt2},
+			"3-4-5":    {X: d * 0.6, Y: d * 0.8},
+		} {
+			_, m, _ := setup(t, DefaultConfig(), tuple.Point{}, at)
+			nbr := slices.Contains(m.Neighbors(0), 1)
+			if got := m.InRange(0, 1); got != nbr {
+				t.Errorf("%s d=%.17g: InRange %v, NeighborsInto %v", name, d, got, nbr)
+			}
+			if got := m.received(0, 1, m.PosOf(0)); got != nbr {
+				t.Errorf("%s d=%.17g: received %v, NeighborsInto %v", name, d, got, nbr)
+			}
+			if want := d <= r; name == "axis" && nbr != want {
+				t.Errorf("axis d=%.17g: neighbour %v, want %v", d, nbr, want)
+			}
+		}
 	}
 }
 
