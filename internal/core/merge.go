@@ -47,11 +47,16 @@ func Merge(current, incoming []tuple.Tuple) []tuple.Tuple {
 	return out
 }
 
-// MergeAll folds many result sets into one skyline.
+// MergeAll assembles partial results into the skyline of their union, each
+// site once, in one sort-filter pass (DESIGN §8). The result is fresh and
+// ascends by (score, packed word, attributes, place); inputs are never
+// written. Inputs no sum orders or no word packs are folded through Merge.
 func MergeAll(results ...[]tuple.Tuple) []tuple.Tuple {
-	var out []tuple.Tuple
-	for _, r := range results {
-		out = Merge(out, r)
+	m := mergePool.Get().(*merger)
+	out, ok := m.mergeAll(results)
+	mergePool.Put(m)
+	for i := 0; !ok && i < len(results); i++ {
+		out = Merge(out, results[i])
 	}
 	return out
 }
@@ -81,8 +86,8 @@ type merger struct {
 	base, scale  [maxFields]float64
 	guard        uint64
 
-	inScore []float64
-	evict   []int32
+	evict []int32
+	keys  [][3]uint64 // MergeAll's sort keys: packed word, score bits, source<<32 | position
 }
 
 type scored struct {
@@ -107,48 +112,17 @@ func scoreOf(t tuple.Tuple) float64 {
 }
 
 func (m *merger) merge(current, incoming []tuple.Tuple) []tuple.Tuple {
-	// Score and measure everything first. A NaN score (a NaN attribute, or
-	// opposite infinities) orders nothing, and tuples of mixed width share
-	// no quantization; either way all scores become one tie and all packed
-	// words zero, which tests every pair in full both ways.
+	// Irregular inputs score one tie and pack to zero: every pair is tested
+	// in full both ways.
+	score := scoreOf
+	if !m.measure(current, incoming) {
+		score = func(tuple.Tuple) float64 { return 0 }
+	}
 	m.order = m.order[:0]
-	m.inScore = m.inScore[:0]
-	m.stride = len(incoming[0].Attrs)
-	m.fields = min(m.stride, maxFields)
-	var lo, hi [maxFields]float64 // attribute ranges
-	for j := range lo {
-		lo[j], hi[j] = math.Inf(1), math.Inf(-1)
-	}
-	regular := true
-	measure := func(t tuple.Tuple) float64 {
-		if len(t.Attrs) != m.stride {
-			regular = false
-			m.stride = max(m.stride, len(t.Attrs))
-			return 0
-		}
-		for j, v := range t.Attrs[:m.fields] {
-			lo[j], hi[j] = min(lo[j], v), max(hi[j], v)
-		}
-		s := scoreOf(t)
-		regular = regular && s == s
-		return s
-	}
 	for i, t := range current {
-		m.order = append(m.order, scored{measure(t), int32(i)})
+		m.order = append(m.order, scored{score(t), int32(i)})
 	}
-	for _, t := range incoming {
-		m.inScore = append(m.inScore, measure(t))
-	}
-	if regular {
-		slices.SortFunc(m.order, func(a, b scored) int { return cmp.Compare(a.score, b.score) })
-	} else {
-		m.fields = 0
-		for i := range m.order {
-			m.order[i].score = 0
-		}
-		clear(m.inScore)
-	}
-	m.quantize(lo, hi)
+	slices.SortFunc(m.order, func(a, b scored) int { return cmp.Compare(a.score, b.score) })
 
 	m.attrs, m.packed, m.xs, m.ys = m.attrs[:0], m.packed[:0], m.xs[:0], m.ys[:0]
 	m.score, m.dims, m.id = m.score[:0], m.dims[:0], m.id[:0]
@@ -161,7 +135,7 @@ func (m *merger) merge(current, incoming []tuple.Tuple) []tuple.Tuple {
 
 	evicted := false
 	for i, t := range incoming {
-		s, p := m.inScore[i], m.pack(t.Attrs)
+		s, p := score(t), m.pack(t.Attrs)
 		// Dominators sit among the sorted rows scoring at most s and the
 		// unsorted accepted ones; victims from the first row scoring s on.
 		sorted := m.score[:m.sorted]
@@ -194,6 +168,108 @@ func (m *merger) merge(current, incoming []tuple.Tuple) []tuple.Tuple {
 		}
 	}
 	return out
+}
+
+// measure quantizes groups for pack and reports whether they are regular:
+// no NaN score (a NaN attribute, or opposite infinities), one width.
+func (m *merger) measure(groups ...[]tuple.Tuple) bool {
+	var lo, hi [maxFields]float64
+	for j := range lo {
+		lo[j], hi[j] = math.Inf(1), math.Inf(-1)
+	}
+	width, regular := -1, true
+	for _, g := range groups {
+		for _, t := range g {
+			s := scoreOf(t)
+			regular = regular && s == s && (width < 0 || len(t.Attrs) == width)
+			width = max(width, len(t.Attrs))
+			for j, v := range t.Attrs[:min(len(t.Attrs), maxFields)] {
+				lo[j], hi[j] = min(lo[j], v), max(hi[j], v)
+			}
+		}
+	}
+	m.stride, m.fields = max(width, 0), 0
+	if regular {
+		m.fields = min(m.stride, maxFields)
+	}
+	m.quantize(lo, hi)
+	return regular
+}
+
+// mergeAll is MergeAll's single pass; false means the inputs need the fold.
+func (m *merger) mergeAll(results [][]tuple.Tuple) ([]tuple.Tuple, bool) {
+	if !m.measure(results...) {
+		return nil, false
+	}
+	m.keys = m.keys[:0]
+	for r, ts := range results {
+		for i, t := range ts {
+			// Bits that sort as the score does: sums start at +0, never reach -0.
+			s := math.Float64bits(scoreOf(t))
+			m.keys = append(m.keys, [3]uint64{m.pack(t.Attrs), s ^ (uint64(int64(s)>>63) | 1<<63), uint64(r)<<32 | uint64(i)})
+		}
+	}
+	n := len(m.keys)
+	m.keys = slices.Grow(m.keys, n)[:2*n]
+	keys := radixSort(m.keys[:n], m.keys[n:])
+	at := func(c [3]uint64) tuple.Tuple { return results[c[2]>>32][uint32(c[2])] }
+	// Exact ties go in attribute order, dominators first, then by place.
+	for i, j := 0, 0; i < len(keys); i = j {
+		for j = i + 1; j < len(keys) && [2]uint64(keys[j][:2]) == [2]uint64(keys[i][:2]); j++ {
+		}
+		slices.SortFunc(keys[i:j], func(a, b [3]uint64) int {
+			t, u := at(a), at(b)
+			return cmp.Or(slices.Compare(t.Attrs, u.Attrs), cmp.Compare(t.X, u.X), cmp.Compare(t.Y, u.Y))
+		})
+	}
+	m.attrs, m.packed = m.attrs[:0], m.packed[:0]
+	guard, stride := m.guard, m.stride
+next:
+	for k, c := range keys {
+		t, w := at(c), c[0]
+		for r, q := range m.packed {
+			if (w|guard-q)&guard == guard && (tuple.Tuple{Attrs: m.attrs[r*stride : (r+1)*stride]}).Dominates(t) {
+				continue next
+			}
+		}
+		// A copy, which cannot dominate, follows its survivor.
+		if k > 0 && at(keys[k-1]).Equal(t) {
+			continue
+		}
+		// Survivors gather at the front of keys, in slot k or one passed.
+		keys[len(m.packed)] = c
+		m.attrs = append(m.attrs, t.Attrs...)
+		m.packed = append(m.packed, w)
+	}
+	out := make([]tuple.Tuple, len(m.packed))
+	for i, c := range keys[:len(m.packed)] {
+		out[i] = at(c)
+	}
+	return out, true
+}
+
+// radixSort sorts src by score bits, then packed word, stably, into src or
+// dst, whichever it returns: one pass a byte, skipping bytes all keys share.
+func radixSort(src, dst [][3]uint64) [][3]uint64 {
+	for d := range 16 {
+		var at [256]int
+		for _, k := range src {
+			at[byte(k[d/8]>>(d%8*8))]++
+		}
+		if slices.Contains(at[:], len(src)) {
+			continue
+		}
+		for b, sum := 0, 0; b < len(at); b++ {
+			at[b], sum = sum, sum+at[b]
+		}
+		for _, k := range src {
+			b := byte(k[d/8] >> (d % 8 * 8))
+			dst[at[b]] = k
+			at[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // quantize turns the attribute ranges [lo, hi] into base and scale, so that
@@ -236,9 +312,7 @@ func (m *merger) pack(attrs []float64) uint64 {
 // push appends a row for t.
 func (m *merger) push(t tuple.Tuple, score float64, id int32) {
 	m.attrs = append(m.attrs, t.Attrs...)
-	for j := len(t.Attrs); j < m.stride; j++ {
-		m.attrs = append(m.attrs, 0)
-	}
+	m.attrs = append(m.attrs, make([]float64, m.stride-len(t.Attrs))...)
 	m.packed = append(m.packed, m.pack(t.Attrs))
 	m.xs = append(m.xs, t.X)
 	m.ys = append(m.ys, t.Y)

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"manetskyline/internal/skyline"
 	"manetskyline/internal/tuple"
@@ -70,17 +71,11 @@ func SampleTuples(sky []tuple.Tuple, k int, seed int64) []tuple.Tuple {
 	if k >= len(sky) {
 		return sky
 	}
-	r := rand.New(rand.NewSource(seed))
-	idx := r.Perm(len(sky))[:k]
-	pick := make([]bool, len(sky))
-	for _, i := range idx {
-		pick[i] = true
-	}
+	idx := rand.New(rand.NewSource(seed)).Perm(len(sky))[:k]
+	slices.Sort(idx)
 	out := make([]tuple.Tuple, 0, k)
-	for i, t := range sky {
-		if pick[i] {
-			out = append(out, t)
-		}
+	for _, i := range idx {
+		out = append(out, sky[i])
 	}
 	return out
 }
@@ -135,17 +130,7 @@ func QuantizeFilters(filters []tuple.Tuple, schema tuple.Schema) []tuple.Tuple {
 // while subtracting would silently lose them under loss. Unlike
 // ApplyFilters, the input is left intact.
 func Survivors(sky, filters []tuple.Tuple) []tuple.Tuple {
-	out := make([]tuple.Tuple, 0, len(sky))
-next:
-	for _, t := range sky {
-		for _, f := range filters {
-			if f.Dominates(t) {
-				continue next
-			}
-		}
-		out = append(out, t)
-	}
-	return out
+	return ApplyFilters(slices.Clone(sky), filters)
 }
 
 // MultiFilterReduction evaluates, for analysis and the ablation bench, how
@@ -155,7 +140,7 @@ next:
 func MultiFilterReduction(localSkylines [][]tuple.Tuple, filters []tuple.Tuple) DRRAccumulator {
 	var acc DRRAccumulator
 	for _, sk := range localSkylines {
-		reduced := ApplyFilters(append([]tuple.Tuple(nil), sk...), filters)
+		reduced := Survivors(sk, filters)
 		acc.Reduced += len(reduced)
 		acc.Unreduced += len(sk)
 		acc.Devices += len(filters) // k tuples shipped per device

@@ -94,12 +94,11 @@ type QueryKey struct {
 type QueryLog struct {
 	mu   sync.Mutex
 	last map[DeviceID]uint8
-	seen map[DeviceID]bool
 }
 
 // NewQueryLog returns an empty log.
 func NewQueryLog() *QueryLog {
-	return &QueryLog{last: make(map[DeviceID]uint8), seen: make(map[DeviceID]bool)}
+	return &QueryLog{last: make(map[DeviceID]uint8)}
 }
 
 // FirstTime records the query and reports whether this device had NOT
@@ -107,10 +106,9 @@ func NewQueryLog() *QueryLog {
 func (l *QueryLog) FirstTime(k QueryKey) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.seen[k.Org] && l.last[k.Org] == k.Cnt {
+	if c, ok := l.last[k.Org]; ok && c == k.Cnt {
 		return false
 	}
-	l.seen[k.Org] = true
 	l.last[k.Org] = k.Cnt
 	return true
 }
@@ -120,7 +118,8 @@ func (l *QueryLog) FirstTime(k QueryKey) bool {
 func (l *QueryLog) Processed(k QueryKey) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.seen[k.Org] && l.last[k.Org] == k.Cnt
+	c, ok := l.last[k.Org]
+	return ok && c == k.Cnt
 }
 
 // Reset clears the log, modelling the paper's periodic counter reset.
@@ -128,14 +127,13 @@ func (l *QueryLog) Reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.last = make(map[DeviceID]uint8)
-	l.seen = make(map[DeviceID]bool)
 }
 
 // Len returns the number of originators tracked (the O(m) space bound).
 func (l *QueryLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.seen)
+	return len(l.last)
 }
 
 // Unconstrained is the distance value that disables the spatial predicate.

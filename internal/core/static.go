@@ -59,6 +59,7 @@ func RunStaticOpt(devices []*Device, g int, org DeviceID, opt StaticOptions) Sta
 
 	out := StaticOutcome{Skyline: orgRes.Skyline}
 	out.Stats.Add(orgRes.Stats)
+	parts := [][]tuple.Tuple{orgRes.Skyline}
 
 	// BFS over the grid; each queue entry carries the query as forwarded by
 	// the device that discovered it (whose filter may have been upgraded).
@@ -94,10 +95,11 @@ func RunStaticOpt(devices []*Device, g int, org DeviceID, opt StaticOptions) Sta
 		res := dev.Process(h.q)
 		out.Acc.ObserveFilters(res, h.q.NumFilters())
 		out.Stats.Add(res.Stats)
-		if !opt.SkipAssembly {
-			out.Skyline = Merge(out.Skyline, res.Skyline)
-		}
+		parts = append(parts, res.Skyline)
 		enqueueNeighbors(h.dev, Forwardable(h.q, res))
+	}
+	if !opt.SkipAssembly {
+		out.Skyline = MergeAll(parts...)
 	}
 	return out
 }

@@ -13,6 +13,8 @@
 package skyline
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"manetskyline/internal/tuple"
@@ -50,11 +52,18 @@ next:
 // tuple can dominate a tuple appearing earlier in the order. One scan then
 // compares each tuple only against already-accepted skyline tuples, and
 // accepted tuples are never evicted.
+//
+// Rounding can tie a dominator's sum with its victim's ({1e16, 1} and
+// {1e16, 0} both sum to 1e16), though never reverse them, so equal sums are
+// ordered lexicographically by attributes, where a dominator always comes
+// first.
 func SFS(ts []tuple.Tuple) []tuple.Tuple {
-	sorted := make([]tuple.Tuple, len(ts))
-	copy(sorted, ts)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return attrSum(sorted[i]) < attrSum(sorted[j])
+	sorted := slices.Clone(ts)
+	slices.SortStableFunc(sorted, func(a, b tuple.Tuple) int {
+		if c := cmp.Compare(attrSum(a), attrSum(b)); c != 0 {
+			return c
+		}
+		return slices.Compare(a.Attrs, b.Attrs)
 	})
 	var sky []tuple.Tuple
 next:

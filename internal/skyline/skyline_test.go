@@ -136,6 +136,48 @@ func TestAllAlgorithmsAgreeRandom(t *testing.T) {
 	}
 }
 
+// {1e16, 1} and {1e16, 0} sum to the same float, yet the second dominates
+// the first: a presort by sum alone may put the victim first, and SFS, which
+// never evicts, would then keep both.
+func TestSFSRoundingTieKeepsOnlyDominator(t *testing.T) {
+	victim, dominator := tp(1, 1, 1e16, 1), tp(2, 2, 1e16, 0)
+	for _, data := range [][]tuple.Tuple{{victim, dominator}, {dominator, victim}} {
+		if got := SFS(data); len(got) != 1 || !got[0].Equal(dominator) {
+			t.Errorf("SFS(%v) = %v, want only %v", data, got, dominator)
+		}
+	}
+}
+
+// Huge magnitudes beside small integers make float sums tie where the
+// attributes differ; every algorithm must still agree with BNL.
+func TestAlgorithmsAgreeOnRoundingTies(t *testing.T) {
+	r := rand.New(rand.NewSource(27))
+	for trial := 0; trial < 200; trial++ {
+		dim := 2 + r.Intn(3)
+		data := make([]tuple.Tuple, 5+r.Intn(60))
+		for i := range data {
+			attrs := make([]float64, dim)
+			for j := range attrs {
+				attrs[j] = float64(r.Intn(4))
+				if r.Intn(3) == 0 {
+					attrs[j] = []float64{1e16, -1e16, 1e17}[r.Intn(3)]
+				}
+			}
+			data[i] = tuple.Tuple{X: float64(i), Y: float64(trial), Attrs: attrs}
+		}
+		want := BNL(data)
+		if !Verify(data, want) {
+			t.Fatalf("trial %d: BNL result fails Verify", trial)
+		}
+		for name, f := range algorithms() {
+			if got := f(data); !SetEqual(want, got) {
+				t.Fatalf("trial %d: %s kept %d tuples, BNL %d\ndata %v\ngot  %v\nwant %v",
+					trial, name, len(got), len(want), data, got, want)
+			}
+		}
+	}
+}
+
 // The skyline must be idempotent: skyline(skyline(S)) = skyline(S).
 func TestSkylineIdempotent(t *testing.T) {
 	data := gen.Generate(gen.DefaultConfig(1000, 3, gen.AntiCorrelated, 4))
