@@ -23,7 +23,7 @@
 //	link/region loss  frames silently vanish with the window's probability
 //	duplicate         extra copies of the frame are forwarded
 //	reorder           the frame is held back while later ones overtake
-//	Extras.ResetProb  the connection is torn down as a frame is forwarded, so
+//	Extras.ResetProb  the connection is torn down (after forwarding), so
 //	                  the transport's reconnect path runs hot
 //	Extras.Trickle*   frames dribble out a few bytes at a time, stressing
 //	                  read deadlines and partial-frame handling
@@ -42,7 +42,7 @@ import (
 
 // Extras are socket-level perturbations with no simulator counterpart.
 type Extras struct {
-	// ResetProb tears the connection down as it forwards a frame with
+	// ResetProb tears the connection down after forwarding a frame with
 	// this probability: pure connection churn (no data loss), exercising
 	// reconnect under backoff.
 	ResetProb float64

@@ -226,6 +226,7 @@ func (pc *peerConn) deliver(conn net.Conn, f outFrame) net.Conn {
 		conn.SetWriteDeadline(time.Now().Add(p.cfg.WriteTimeout))
 		pc.stampWrite(f)
 		if err := wire.WriteFrameCtx(conn, f.msg, f.tc); err == nil {
+			pc.countSent(f)
 			return conn
 		}
 		conn.Close()
@@ -234,15 +235,20 @@ func (pc *peerConn) deliver(conn net.Conn, f outFrame) net.Conn {
 	}
 }
 
-// stampWrite counts and traces a frame before its write starts: once the
-// bytes are out, the receiver may count and decode them, and the originator
-// finish the query, before this goroutine runs again. A failed attempt is
-// still counted, and stays in the trace as a write that no decode matches.
+// stampWrite traces a frame before its write starts: once the bytes are
+// out, the receiver may decode them, and the originator finish the query,
+// before this goroutine runs again. A failed attempt stays in the trace as
+// a write that no decode matches.
 func (pc *peerConn) stampWrite(f outFrame) {
-	p := pc.p
-	p.met.MessagesOut.Inc()
-	p.met.BytesOut.Add(frameBytes(f.msg, f.tc != nil))
-	p.traceStage(f.tc, telemetry.StageWrite, pc.id, wire.FrameWireSize(len(f.msg), f.tc != nil))
+	pc.p.traceStage(f.tc, telemetry.StageWrite, pc.id, wire.FrameWireSize(len(f.msg), f.tc != nil))
+}
+
+// countSent counts a frame whose write succeeded. A failed attempt is not
+// counted: it is retried and counted once when it goes out, or it is
+// dead-lettered and never sent.
+func (pc *peerConn) countSent(f outFrame) {
+	pc.p.met.MessagesOut.Inc()
+	pc.p.met.BytesOut.Add(frameBytes(f.msg, f.tc != nil))
 }
 
 // dial resolves the peer through the directory and connects. A peer the
@@ -337,6 +343,7 @@ func (pc *peerConn) drain(conn net.Conn) {
 				p.failSlot(f.fk, pc.id, "undeliverable at shutdown")
 				continue
 			}
+			pc.countSent(f)
 		default:
 			if conn != nil {
 				conn.Close()

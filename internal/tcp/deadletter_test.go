@@ -2,7 +2,10 @@ package tcp
 
 import (
 	"errors"
+	"io"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,5 +192,70 @@ func TestRejectFrameDroppedNotCrashed(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["tcp_frames_dropped_total"]; got != 1 {
 		t.Errorf("tcp_frames_dropped_total = %d, want 1", got)
+	}
+}
+
+// TestFailedWriteNotCounted pins tcp_messages_out_total and
+// tcp_bytes_out_total to frames actually written. Every write to the
+// neighbour fails (a write deadline that has passed before the write
+// starts), so the flood frame is retried across reconnects and then
+// dead-lettered: neither counter may count an attempt, and the bytes
+// counted out must equal the bytes the neighbour read.
+func TestFailedWriteNotCounted(t *testing.T) {
+	defer leaktest.Check(t)()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	var read atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer c.Close()
+				n, _ := io.Copy(io.Discard, c)
+				read.Add(n)
+			}()
+		}
+	}()
+
+	reg := telemetry.NewRegistry()
+	dir := NewDirectory()
+	dir.Register(1, ln.Addr().String())
+	cfg := DefaultConfig()
+	cfg.Registry = reg
+	cfg.QueryTimeout = 2 * time.Second
+	cfg.RetryTimeout = 50 * time.Millisecond
+	cfg.WriteTimeout = time.Nanosecond
+	p0, err := NewPeer(0, nil, tuple.NewSchema(2, 0, 10), core.Under, true, tuple.Point{}, dir, cfg)
+	if err != nil {
+		t.Fatalf("NewPeer: %v", err)
+	}
+	p0.AddNeighbor(1)
+	if _, err := p0.Query(core.Unconstrained(), 2); !errors.Is(err, ErrUnreachable) {
+		t.Errorf("Query error = %v, want ErrUnreachable", err)
+	}
+	p0.Close()
+	ln.Close()
+	wg.Wait()
+
+	c := reg.Snapshot().Counters
+	if c["tcp_send_retries_total"] == 0 || c["tcp_dead_letters_total"] != 1 {
+		t.Fatalf("retries=%d dead letters=%d, want failed writes and one dead letter",
+			c["tcp_send_retries_total"], c["tcp_dead_letters_total"])
+	}
+	if got := c["tcp_messages_out_total"]; got != 0 {
+		t.Errorf("tcp_messages_out_total = %d, want 0 for a dead-lettered frame", got)
+	}
+	if got, want := c["tcp_bytes_out_total"], read.Load(); got != want {
+		t.Errorf("tcp_bytes_out_total = %d, but the neighbour read %d bytes", got, want)
 	}
 }

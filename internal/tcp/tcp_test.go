@@ -15,11 +15,10 @@ import (
 	"manetskyline/internal/wire"
 )
 
-// buildPeers starts a g×g network of TCP peers over a fresh dataset, linked
-// by grid adjacency.
-func buildPeers(t *testing.T, cfg Config, n, dim, g int, seed int64) ([]*Peer, []tuple.Tuple, func()) {
+// startPeers starts one unlinked TCP peer per cell of a g×g partition of
+// the dataset c describes, each at its cell's centre.
+func startPeers(t *testing.T, cfg Config, c gen.Config, g int) ([]*Peer, []tuple.Tuple, func()) {
 	t.Helper()
-	c := gen.DefaultConfig(n, dim, gen.Independent, seed)
 	data := gen.Generate(c)
 	parts := gen.GridPartition(data, g, c.Space)
 	dir := NewDirectory()
@@ -32,19 +31,6 @@ func buildPeers(t *testing.T, cfg Config, n, dim, g int, seed int64) ([]*Peer, [
 		}
 		peers[i] = p
 	}
-	for r := 0; r < g; r++ {
-		for col := 0; col < g; col++ {
-			i := r*g + col
-			if col < g-1 {
-				peers[i].AddNeighbor(peers[i+1].ID())
-				peers[i+1].AddNeighbor(peers[i].ID())
-			}
-			if r < g-1 {
-				peers[i].AddNeighbor(peers[i+g].ID())
-				peers[i+g].AddNeighbor(peers[i].ID())
-			}
-		}
-	}
 	cleanup := func() {
 		for _, p := range peers {
 			p.Close()
@@ -53,21 +39,110 @@ func buildPeers(t *testing.T, cfg Config, n, dim, g int, seed int64) ([]*Peer, [
 	return peers, data, cleanup
 }
 
+// buildPeers starts a g×g network of TCP peers over a fresh dataset, linked
+// by grid adjacency.
+func buildPeers(t *testing.T, cfg Config, n, dim, g int, seed int64) ([]*Peer, []tuple.Tuple, func()) {
+	t.Helper()
+	peers, data, cleanup := startPeers(t, cfg, gen.DefaultConfig(n, dim, gen.Independent, seed), g)
+	linkGrid(peers, g)
+	return peers, data, cleanup
+}
+
+// link joins two peers both ways.
+func link(a, b *Peer) {
+	a.AddNeighbor(b.ID())
+	b.AddNeighbor(a.ID())
+}
+
+// linkGrid links a g×g fleet by grid adjacency.
+func linkGrid(peers []*Peer, g int) {
+	for i := range peers {
+		if i%g < g-1 {
+			link(peers[i], peers[i+1])
+		}
+		if i+g < len(peers) {
+			link(peers[i], peers[i+g])
+		}
+	}
+}
+
+// linkAll links every pair of peers: a full mesh.
+func linkAll(peers []*Peer) {
+	for i := range peers {
+		for j := i + 1; j < len(peers); j++ {
+			link(peers[i], peers[j])
+		}
+	}
+}
+
+// quiesce waits until the fleet sharing reg has received every frame it
+// wrote and wrote nothing new for 20 ms. A query completes while copies of
+// its flood are still moving, and core.QueryLog keeps one counter per
+// originator, so a late copy of an originator's query k that meets its
+// query k+1 re-floods both for ever (ROADMAP 0c). Until that is fixed, an
+// originator queries again only after its last flood has died out, as the
+// live benchmark's fleet does (benchmark/live.go).
+func quiesce(t *testing.T, reg *telemetry.Registry) {
+	t.Helper()
+	in := reg.Counter("tcp_messages_in_total", "")
+	out := reg.Counter("tcp_messages_out_total", "")
+	last := [2]int64{-1, -1}
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
+		now := [2]int64{in.Value(), out.Value()}
+		if now == last && now[0] == now[1] {
+			return
+		}
+		last = now
+		time.Sleep(20 * time.Millisecond)
+	}
+	t.Fatalf("fleet still busy after 2 s: %d frames received, %d written", last[0], last[1])
+}
+
+// TestQueryOverRealSockets checks every answer against the centralized
+// constrained skyline. Corner-to-corner grid queries need four hops; the
+// repeat case issues five queries in a row from one originator, each under
+// a fresh query key every other peer's core.QueryLog must accept.
 func TestQueryOverRealSockets(t *testing.T) {
-	peers, data, cleanup := buildPeers(t, DefaultConfig(), 3000, 2, 3, 5)
-	defer cleanup()
-	for _, org := range []int{0, 4, 8} {
-		res, err := peers[org].Query(500, len(peers))
-		if err != nil {
-			t.Fatalf("Query: %v", err)
-		}
-		if !res.Complete {
-			t.Fatalf("org %d: incomplete (%d results)", org, res.Results)
-		}
-		want := skyline.Constrained(data, peers[org].Pos(), 500)
-		if !skyline.SetEqual(res.Skyline, want) {
-			t.Errorf("org %d: got %d tuples, want %d", org, len(res.Skyline), len(want))
-		}
+	for _, tc := range []struct {
+		name  string
+		n     int
+		dist  gen.Distribution
+		mesh  bool
+		radii []float64
+		orgs  []int
+	}{
+		{"grid", 3000, gen.Independent, false, []float64{500}, []int{0, 4, 8}},
+		{"mesh_anticorrelated", 3000, gen.AntiCorrelated, true, []float64{100, 250, 500}, []int{0, 4, 8}},
+		{"repeat_originator", 3000, gen.Independent, true, []float64{300}, []int{1, 1, 1, 1, 1}},
+		{"empty_relations", 0, gen.Independent, true, []float64{100}, []int{0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Registry = telemetry.NewRegistry()
+			peers, data, cleanup := startPeers(t, cfg, gen.DefaultConfig(tc.n, 2, tc.dist, 5), 3)
+			defer cleanup()
+			if tc.mesh {
+				linkAll(peers)
+			} else {
+				linkGrid(peers, 3)
+			}
+			for _, d := range tc.radii {
+				for _, org := range tc.orgs {
+					res, err := peers[org].Query(d, len(peers))
+					if err != nil {
+						t.Fatalf("Query: %v", err)
+					}
+					if !res.Complete {
+						t.Fatalf("d=%v org %d: incomplete (%d results)", d, org, res.Results)
+					}
+					want := skyline.Constrained(data, peers[org].Pos(), d)
+					if !skyline.SetEqual(res.Skyline, want) {
+						t.Errorf("d=%v org %d: got %d tuples, want %d", d, org, len(res.Skyline), len(want))
+					}
+					quiesce(t, cfg.Registry)
+				}
+			}
+		})
 	}
 }
 
@@ -99,23 +174,42 @@ func TestConcurrentQueriesOverSockets(t *testing.T) {
 	}
 }
 
+// TestDeadNeighborToleratedViaTimeout queries a 2×2 fleet that cannot
+// reach every peer: one with a dead corner peer, and one partitioned so the
+// originator is linked to a single peer. The reachable peers still answer;
+// quorum 1.0 times out incomplete, while quorum 0.3 (one of three) completes.
 func TestDeadNeighborToleratedViaTimeout(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.QueryTimeout = 300 * time.Millisecond
-	peers, _, cleanup := buildPeers(t, cfg, 1000, 2, 2, 9)
-	defer cleanup()
-	// Kill one corner peer; queries from the opposite corner lose it (and
-	// possibly nothing else — the grid has alternate routes).
-	peers[3].Close()
-	res, err := peers[0].Query(core.Unconstrained(), len(peers))
-	if err != nil {
-		t.Fatalf("Query: %v", err)
-	}
-	if res.Results < 2 {
-		t.Errorf("live peers should still respond, got %d results", res.Results)
-	}
-	if res.Complete {
-		t.Errorf("quorum 1.0 with a dead peer should not complete")
+	for _, tc := range []struct {
+		name     string
+		dead     bool // grid links and peer 3 closed; else only peers 0 and 1 linked
+		quorum   float64
+		results  int
+		complete bool
+	}{
+		{"dead_corner", true, 1, 2, false},
+		{"partition", false, 1, 1, false},
+		{"partition_quorum_0.3", false, 0.3, 1, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.QueryTimeout = 300 * time.Millisecond
+			cfg.Quorum = tc.quorum
+			peers, _, cleanup := startPeers(t, cfg, gen.DefaultConfig(1000, 2, gen.Independent, 9), 2)
+			defer cleanup()
+			if tc.dead {
+				linkGrid(peers, 2)
+				peers[3].Close()
+			} else {
+				link(peers[0], peers[1])
+			}
+			res, err := peers[0].Query(core.Unconstrained(), len(peers))
+			if err != nil {
+				t.Fatalf("Query: %v", err)
+			}
+			if res.Results != tc.results || res.Complete != tc.complete {
+				t.Errorf("Results=%d Complete=%v, want %d %v", res.Results, res.Complete, tc.results, tc.complete)
+			}
+		})
 	}
 }
 

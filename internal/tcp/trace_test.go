@@ -214,16 +214,22 @@ func TestTracedBytesLedger(t *testing.T) {
 	if _, err := peers[0].Query(core.Unconstrained(), 2); err != nil {
 		t.Fatal(err)
 	}
-	// Give the reply frame's counters a moment to settle.
-	deadline := time.Now().Add(time.Second)
-	for time.Now().Before(deadline) {
-		if regs[1].Bytes().Layers["tcp"].Received > 0 {
+	// A frame is counted sent after its write returns, and the receiver may
+	// count it first: poll until every byte counter stops changing.
+	ledger := func() [4]int64 {
+		l0, l1 := regs[0].Bytes().Layers["tcp"], regs[1].Bytes().Layers["tcp"]
+		return [4]int64{l0.Sent, l0.Received, l1.Sent, l1.Received}
+	}
+	last := ledger()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		now := ledger()
+		if now == last && now[0] > 0 && now[1] > 0 && now[2] > 0 && now[3] > 0 {
 			break
 		}
-		time.Sleep(5 * time.Millisecond)
+		last = now
 	}
-	out0 := regs[0].Bytes().Layers["tcp"].Sent
-	in1 := regs[1].Bytes().Layers["tcp"].Received
+	out0, in1 := last[0], last[3]
 	if out0 == 0 || in1 == 0 {
 		t.Fatalf("byte ledger empty: out0=%d in1=%d", out0, in1)
 	}

@@ -1,10 +1,9 @@
 // Package wire defines the binary serialization of the distributed skyline
 // protocol: queries (with their piggy-backed filtering tuple) and result
 // sets of tuples. Real mobile devices exchange bytes, not Go pointers; the
-// TCP transport of the live peer runtime (internal/p2p) and any future
-// on-the-wire deployment speak this format. The in-memory transports use
-// the same SizeBytes accounting, so simulated byte counts equal the true
-// encoded sizes.
+// live peer runtime (internal/tcp) and any future on-the-wire deployment
+// speak this format. The simulator uses the same SizeBytes accounting, so
+// simulated byte counts equal the true encoded sizes.
 //
 // Format (all integers little-endian):
 //
