@@ -146,31 +146,53 @@ func TestQueryOverRealSockets(t *testing.T) {
 	}
 }
 
+// TestConcurrentQueriesOverSockets has every peer query at once and checks
+// each answer against the centralized constrained skyline, over grid links
+// and over a full mesh.
 func TestConcurrentQueriesOverSockets(t *testing.T) {
-	peers, data, cleanup := buildPeers(t, DefaultConfig(), 2000, 3, 2, 7)
-	defer cleanup()
-	var wg sync.WaitGroup
-	errs := make(chan string, len(peers))
-	for _, p := range peers {
-		p := p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := p.Query(600, len(peers))
-			if err != nil || !res.Complete {
-				errs <- "incomplete or failed"
-				return
+	for _, tc := range []struct {
+		name   string
+		n, dim int
+		g      int
+		mesh   bool
+		d      float64
+		seed   int64
+	}{
+		{"grid", 2000, 3, 2, false, 600, 7},
+		{"full_mesh", 3000, 2, 3, true, 400, 13},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peers, data, cleanup := startPeers(t, DefaultConfig(), gen.DefaultConfig(tc.n, tc.dim, gen.Independent, tc.seed), tc.g)
+			defer cleanup()
+			if tc.mesh {
+				linkAll(peers)
+			} else {
+				linkGrid(peers, tc.g)
 			}
-			want := skyline.Constrained(data, p.Pos(), 600)
-			if !skyline.SetEqual(res.Skyline, want) {
-				errs <- "wrong result"
+			var wg sync.WaitGroup
+			errs := make(chan string, len(peers))
+			for _, p := range peers {
+				p := p
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					res, err := p.Query(tc.d, len(peers))
+					if err != nil || !res.Complete {
+						errs <- "incomplete or failed"
+						return
+					}
+					want := skyline.Constrained(data, p.Pos(), tc.d)
+					if !skyline.SetEqual(res.Skyline, want) {
+						errs <- "wrong result"
+					}
+				}()
 			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
+			wg.Wait()
+			close(errs)
+			for e := range errs {
+				t.Error(e)
+			}
+		})
 	}
 }
 
