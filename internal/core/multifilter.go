@@ -132,18 +132,3 @@ func QuantizeFilters(filters []tuple.Tuple, schema tuple.Schema) []tuple.Tuple {
 func Survivors(sky, filters []tuple.Tuple) []tuple.Tuple {
 	return ApplyFilters(slices.Clone(sky), filters)
 }
-
-// MultiFilterReduction evaluates, for analysis and the ablation bench, how
-// many tuples of each unreduced local skyline a k-filter set removes. It
-// returns Formula 1's sums with the per-device cost set to k transmitted
-// filter tuples instead of 1.
-func MultiFilterReduction(localSkylines [][]tuple.Tuple, filters []tuple.Tuple) DRRAccumulator {
-	var acc DRRAccumulator
-	for _, sk := range localSkylines {
-		reduced := Survivors(sk, filters)
-		acc.Reduced += len(reduced)
-		acc.Unreduced += len(sk)
-		acc.Devices += len(filters) // k tuples shipped per device
-	}
-	return acc
-}

@@ -1,6 +1,8 @@
 package manet
 
 import (
+	"slices"
+
 	"manetskyline/internal/core"
 	"manetskyline/internal/localsky"
 	"manetskyline/internal/radio"
@@ -21,9 +23,6 @@ type node struct {
 	// not issue a new query while one is outstanding).
 	busy bool
 
-	// nbBuf is the reused neighbor buffer for DF forwarding decisions.
-	nbBuf []radio.NodeID
-
 	bf    map[core.QueryKey]*bfOrigState
 	df    map[core.QueryKey]*dfState
 	sf    map[core.QueryKey]*sfOrigState
@@ -41,8 +40,8 @@ type bfOrigState struct {
 // dfState is a device's per-query state under depth-first forwarding.
 type dfState struct {
 	q      core.Query
-	parent radio.NodeID // -1 at the originator
-	tried  map[radio.NodeID]bool
+	parent radio.NodeID   // -1 at the originator
+	tried  []radio.NodeID // ascending: the parent and every neighbour handed the query
 	merged []tuple.Tuple
 	flt    *tuple.Tuple
 	fltVDR float64
@@ -292,7 +291,6 @@ func (n *node) dfStart(q core.Query, res localsky.Result) {
 	st := &dfState{
 		q:            q,
 		parent:       -1,
-		tried:        map[radio.NodeID]bool{},
 		merged:       res.Skyline,
 		flt:          q.Filter,
 		fltVDR:       q.FilterVDR,
@@ -319,23 +317,14 @@ func (n *node) dfTryNext(st *dfState) {
 	if st.done || st.waitingAck || st.waitingChild >= 0 {
 		return
 	}
-	// NeighborsInto returns IDs in ascending order, which is the traversal
-	// order DF wants, and reusing the buffer keeps the per-hop decision
-	// allocation-free.
-	neighbors := n.sc.med.NeighborsInto(n.id, n.nbBuf)
-	n.nbBuf = neighbors[:0]
-	next := radio.NodeID(-1)
-	for _, nb := range neighbors {
-		if !st.tried[nb] {
-			next = nb
-			break
-		}
-	}
+	// The traversal visits neighbours in ascending ID order.
+	next := n.sc.med.FirstNeighborExcept(n.id, st.tried)
 	if next < 0 {
 		n.dfFinish(st)
 		return
 	}
-	st.tried[next] = true
+	i, _ := slices.BinarySearch(st.tried, next)
+	st.tried = slices.Insert(st.tried, i, next)
 	st.waitingAck = true
 	st.gen++
 	g := st.gen
@@ -368,7 +357,7 @@ func (n *node) dfFinish(st *dfState) {
 					return
 				}
 				n.recordRetry(key, st.attempts)
-				clear(st.tried)
+				st.tried = st.tried[:0]
 				n.dfTryNext(st)
 			})
 			return
@@ -400,7 +389,7 @@ func (n *node) dfHandleQuery(from radio.NodeID, hops int, m *dfQueryMsg) {
 	st := &dfState{
 		q:            m.Q,
 		parent:       from,
-		tried:        map[radio.NodeID]bool{from: true},
+		tried:        []radio.NodeID{from},
 		waitingChild: -1,
 	}
 	n.putDF(key, st)

@@ -25,12 +25,12 @@ type Field struct {
 
 // fieldNode is one node's trajectory state: RNG + current leg + direction.
 type fieldNode struct {
-	state          uint64 // splitmix64 state: the whole RNG, 8 bytes
-	t0, moveEnd    float64
-	t1             float64
-	fromX, fromY   float64
-	toX, toY       float64
-	dx, dy         float64
+	state        uint64 // splitmix64 state: the whole RNG, 8 bytes
+	t0, moveEnd  float64
+	t1           float64
+	fromX, fromY float64
+	toX, toY     float64
+	dx, dy       float64
 }
 
 // NewField creates an empty field; Add nodes before the simulation starts.

@@ -68,6 +68,7 @@ func TestEpochGridMatchesBruteForce(t *testing.T) {
 			med.AddNode(linearModel{x0: -300, y0: 500, vx: 8}, func(NodeID, Payload) {})
 			nodes := NodeID(med.NumNodes())
 			r := rand.New(rand.NewSource(17))
+			pr := rand.New(rand.NewSource(19))
 			now := 0.0
 			rebuilds := 0
 			lastEpoch := -1.0
@@ -79,12 +80,13 @@ func TestEpochGridMatchesBruteForce(t *testing.T) {
 				now += r.Float64() * 2
 				eng.Run(now)
 				for id := NodeID(0); id < nodes; id++ {
-					got := med.Neighbors(id)
+					got := med.NeighborsInto(id, nil)
 					want := bruteNeighbors(med, id)
 					if !slices.Equal(got, want) {
 						t.Fatalf("t=%g node %d: grid %v != brute force %v",
 							now, id, got, want)
 					}
+					checkProbe(t, med, id, want, pr)
 				}
 				for id := NodeID(0); id < nodes; id++ {
 					cx, cy, outside := cellNow(med, id)
@@ -135,20 +137,22 @@ func TestEpochGridBoundaryCrossing(t *testing.T) {
 	med.AddNode(linearModel{x0: 180, y0: 50}, func(NodeID, Payload) {})
 	med.AddNode(linearModel{x0: 205, y0: 150, vy: -1}, func(NodeID, Payload) {}) // crosses y=100 at t=50
 	med.AddNode(linearModel{x0: 5, y0: 50, vx: -2}, func(NodeID, Payload) {})
+	pr := rand.New(rand.NewSource(19))
 	for _, now := range []float64{0, 2.4, 2.5, 2.6, 4.5, 5, 5.5, 9.9, 20, 49.5, 50, 50.5, 80} {
 		eng.Run(now)
 		for id := NodeID(0); id < 5; id++ {
-			got := med.Neighbors(id)
+			got := med.NeighborsInto(id, nil)
 			want := bruteNeighbors(med, id)
 			if !slices.Equal(got, want) {
 				t.Fatalf("t=%g node %d: grid %v != brute force %v", now, id, got, want)
 			}
+			checkProbe(t, med, id, want, pr)
 		}
 		if now > 2.5 && now < 10 {
 			if _, _, outside := cellNow(med, 4); !outside || med.grid.epoch != 0 {
 				t.Fatalf("t=%g: node 4 should be outside the box of epoch 0 (epoch %g)", now, med.grid.epoch)
 			}
-			if got := med.Neighbors(4); !slices.Contains(got, 1) {
+			if got := med.NeighborsInto(4, nil); !slices.Contains(got, 1) {
 				t.Fatalf("t=%g: node 4 probed from outside the box sees %v, want node 1 among them", now, got)
 			}
 		}
@@ -171,6 +175,7 @@ func TestEpochGridChurnTeleport(t *testing.T) {
 	cfg.MaxSpeed = 0 // unknown motion: teleports allowed
 	med := New(eng, cfg)
 	r := rand.New(rand.NewSource(23))
+	pr := rand.New(rand.NewSource(19))
 	models := make([]*teleportModel, nodes)
 	for i := range models {
 		models[i] = &teleportModel{p: tuple.Point{X: r.Float64() * space, Y: r.Float64() * space}}
@@ -185,11 +190,12 @@ func TestEpochGridChurnTeleport(t *testing.T) {
 		}
 		eng.Run(float64(tick))
 		for id := NodeID(0); id < nodes; id++ {
-			got := med.Neighbors(id)
+			got := med.NeighborsInto(id, nil)
 			want := bruteNeighbors(med, id)
 			if !slices.Equal(got, want) {
 				t.Fatalf("tick %d node %d: grid %v != brute force %v", tick, id, got, want)
 			}
+			checkProbe(t, med, id, want, pr)
 		}
 	}
 }
@@ -204,6 +210,7 @@ func TestEpochGridStatic(t *testing.T) {
 	cfg.MaxSpeed = -1
 	med := New(eng, cfg)
 	r := rand.New(rand.NewSource(31))
+	pr := rand.New(rand.NewSource(19))
 	const nodes = 100
 	for i := 0; i < nodes; i++ {
 		med.AddNode(mobility.Static{X: r.Float64() * 1000, Y: r.Float64() * 1000},
@@ -213,11 +220,12 @@ func TestEpochGridStatic(t *testing.T) {
 	for _, now := range []float64{0, 10, 100, 1000, 5000} {
 		eng.Run(now)
 		for id := NodeID(0); id < nodes; id++ {
-			got := med.Neighbors(id)
+			got := med.NeighborsInto(id, nil)
 			want := bruteNeighbors(med, id)
 			if !slices.Equal(got, want) {
 				t.Fatalf("t=%g node %d: grid %v != brute force %v", now, id, got, want)
 			}
+			checkProbe(t, med, id, want, pr)
 		}
 		if math.IsNaN(firstEpoch) {
 			firstEpoch = med.grid.epoch

@@ -22,6 +22,11 @@ import "manetskyline/internal/tuple"
 //   - When the expansion exceeds one cell side, the grid rebuilds (O(n),
 //     amortized over the epoch instead of per event).
 //
+// A probe either lists every neighbor (NeighborsInto) or returns only the
+// smallest-ID neighbor outside a tried set (FirstNeighborExcept). Both run
+// the same preamble (neighborCandidates: ensure, widen, gather), so both are
+// exact in every mode below.
+//
 // With MaxSpeed unknown (zero), the grid rebuilds on every timestep, which
 // is exact for arbitrary motion — including the teleporting churn the tests
 // inject. A negative MaxSpeed declares all nodes static: the grid is built

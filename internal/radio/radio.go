@@ -271,9 +271,24 @@ func (m *Medium) InRange(a, b NodeID) bool {
 	return m.posOfIdx(int32(a), now).WithinDist(m.posOfIdx(int32(b), now), m.cfg.Range)
 }
 
-// Neighbors returns the nodes currently within range of id, in ID order.
-func (m *Medium) Neighbors(id NodeID) []NodeID {
-	return m.NeighborsInto(id, nil)
+// neighborCandidates is the preamble every neighbour probe shares: it counts
+// the probe, brings the grid up to date for now, and gathers the candidates
+// of id's probe ring. Under a positive speed bound, grid entries may be up to
+// maxSpeed·(now−epoch) stale; expanding the ring by that much keeps every
+// probe exact (candidates are re-checked at their true positions). full
+// reports that the ring covers every occupied cell, so every node is a
+// candidate and cand is empty (see gridGather).
+func (m *Medium) neighborCandidates(id NodeID) (p tuple.Point, now float64, cand []int32, full bool) {
+	m.met.NeighborQueries.Inc()
+	now = m.eng.Now()
+	m.gridEnsure(now)
+	p = m.posOfIdx(int32(id), now)
+	radius := m.cfg.Range
+	if ms := m.grid.maxSpeed; ms > 0 {
+		radius += ms * (now - m.grid.epoch)
+	}
+	cand, full = m.gridGather(p, radius)
+	return p, now, cand, full
 }
 
 // NeighborsInto appends the nodes currently within range of id to buf[:0],
@@ -285,18 +300,7 @@ func (m *Medium) Neighbors(id NodeID) []NodeID {
 // memoized positions, with no gather.
 func (m *Medium) NeighborsInto(id NodeID, buf []NodeID) []NodeID {
 	buf = buf[:0]
-	m.met.NeighborQueries.Inc()
-	now := m.eng.Now()
-	m.gridEnsure(now)
-	p := m.posOfIdx(int32(id), now)
-	// Under a positive speed bound, grid entries may be up to
-	// maxSpeed·(now−epoch) stale; expanding the probe ring by that much
-	// keeps the result exact (candidates are re-checked at true positions).
-	radius := m.cfg.Range
-	if ms := m.grid.maxSpeed; ms > 0 {
-		radius += ms * (now - m.grid.epoch)
-	}
-	cand, full := m.gridGather(p, radius)
+	p, now, cand, full := m.neighborCandidates(id)
 	if full {
 		// Full coverage: every node is a candidate, already in ID order.
 		m.met.NeighborScanned.Add(int64(len(m.mobs) - 1))
@@ -332,6 +336,70 @@ func (m *Medium) NeighborsInto(id NodeID, buf []NodeID) []NodeID {
 		m.inRange[w] = 0
 	}
 	return buf
+}
+
+// FirstNeighborExcept returns the smallest-ID node currently within range
+// of id that is not in except, or -1 when there is none: the first entry of
+// NeighborsInto(id) not in except, without building the list. except must
+// be ascending; it may hold id itself and IDs that are out of range or not
+// registered. A node in except is ruled out before its position is
+// refreshed, and the probe allocates nothing.
+func (m *Medium) FirstNeighborExcept(id NodeID, except []NodeID) NodeID {
+	p, now, cand, full := m.neighborCandidates(id)
+	n := NodeID(len(m.mobs))
+	scanned := 0
+	if full {
+		// Walk IDs ascending beside except; the first in range wins.
+		j := 0
+		for i := NodeID(0); i < n; i++ {
+			for j < len(except) && except[j] < i {
+				j++
+			}
+			if i == id || (j < len(except) && except[j] == i) {
+				continue
+			}
+			scanned++
+			if p.WithinDist(m.posOfIdx(int32(i), now), m.cfg.Range) {
+				m.met.NeighborScanned.Add(int64(scanned))
+				return i
+			}
+		}
+		m.met.NeighborScanned.Add(int64(scanned))
+		return -1
+	}
+	// Gathered candidates come in block order, not ID order. Mark id and
+	// except in the all-zero ID bitset so a ruled-out candidate costs one
+	// bit test, keep the smallest in-range ID seen, and skip candidates at
+	// or above it; the marks are cleared before returning.
+	m.inRange[id>>6] |= 1 << (id & 63)
+	for _, e := range except {
+		if uint(e) < uint(n) {
+			m.inRange[e>>6] |= 1 << (e & 63)
+		}
+	}
+	best := n
+	for _, ni := range cand {
+		if NodeID(ni) >= best || m.inRange[ni>>6]&(1<<(ni&63)) != 0 {
+			continue
+		}
+		scanned++
+		if p.WithinDist(m.posOfIdx(ni, now), m.cfg.Range) {
+			best = NodeID(ni)
+		}
+	}
+	// Every set bit is one of the marks, so zeroing their words restores
+	// the all-zero bitset.
+	m.inRange[id>>6] = 0
+	for _, e := range except {
+		if uint(e) < uint(n) {
+			m.inRange[e>>6] = 0
+		}
+	}
+	m.met.NeighborScanned.Add(int64(scanned))
+	if best == n {
+		return -1
+	}
+	return best
 }
 
 // txDelay computes the serialized transmission start and airtime for one

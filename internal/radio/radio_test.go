@@ -163,9 +163,9 @@ func TestNeighborsAndInRange(t *testing.T) {
 	r := DefaultConfig().Range
 	_, m, _ := setup(t, DefaultConfig(),
 		tuple.Point{X: 0}, tuple.Point{X: r}, tuple.Point{X: r + 1}, tuple.Point{X: 100})
-	nb := m.Neighbors(0)
+	nb := m.NeighborsInto(0, nil)
 	if len(nb) != 2 || nb[0] != 1 || nb[1] != 3 {
-		t.Errorf("Neighbors(0) = %v, want [1 3]", nb)
+		t.Errorf("NeighborsInto(0) = %v, want [1 3]", nb)
 	}
 	if !m.InRange(0, 1) {
 		t.Errorf("boundary distance should be in range (inclusive)")
@@ -194,7 +194,7 @@ func TestRangeBoundaryOnePredicate(t *testing.T) {
 			"3-4-5":    {X: d * 0.6, Y: d * 0.8},
 		} {
 			_, m, _ := setup(t, DefaultConfig(), tuple.Point{}, at)
-			nbr := slices.Contains(m.Neighbors(0), 1)
+			nbr := slices.Contains(m.NeighborsInto(0, nil), 1)
 			if got := m.InRange(0, 1); got != nbr {
 				t.Errorf("%s d=%.17g: InRange %v, NeighborsInto %v", name, d, got, nbr)
 			}

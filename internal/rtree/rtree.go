@@ -31,11 +31,6 @@ func NewMBR(dim int) MBR {
 	return m
 }
 
-// PointMBR returns the degenerate MBR of one point.
-func PointMBR(p []float64) MBR {
-	return MBR{Min: append([]float64(nil), p...), Max: append([]float64(nil), p...)}
-}
-
 // Extend grows the MBR to cover p.
 func (m *MBR) Extend(p []float64) {
 	for i, v := range p {

@@ -117,9 +117,6 @@ func TestMinSum(t *testing.T) {
 	if got := m.MinSum(); got != 5 {
 		t.Errorf("MinSum = %v, want 5", got)
 	}
-	if got := PointMBR([]float64{1, 1}).MinSum(); got != 2 {
-		t.Errorf("point MinSum = %v", got)
-	}
 }
 
 // MinSum must lower-bound the attribute sum of every contained point — the
