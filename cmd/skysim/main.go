@@ -16,6 +16,11 @@
 // reports simulator throughput and memory:
 //
 //	skysim -nodes 30000 -strategy BF
+//
+// -spans writes every query's timeline in the span JSONL format that
+// skypeer serves at /trace.jsonl, so skytrace reads a simulated run:
+//
+//	skysim -grid 3 -n 900 -maxq 1 -spans run.jsonl && skytrace run.jsonl
 package main
 
 import (
@@ -75,9 +80,8 @@ func run() error {
 		nodes      = flag.Int("nodes", 0, "run the large-scale preset with this many devices (ignores most other flags)")
 		scaleTime  = flag.Float64("scaletime", 0, "simulated seconds for the -nodes preset (0 = preset default)")
 		scaleOrig  = flag.Int("originators", 0, "query issuers for the -nodes preset (0 = preset default)")
-		trace      = flag.String("trace", "", "write a JSONL event trace to this file")
 		metrics    = flag.String("metrics", "", `dump Prometheus-format metrics to this file ("-" for stdout)`)
-		spansOut   = flag.String("spans", "", `write per-query span timelines as JSON to this file ("-" for stdout)`)
+		spansOut   = flag.String("spans", "", `write per-query span timelines as JSONL, the format skytrace reads, to this file ("-" for stdout)`)
 		verbose    = flag.Bool("v", false, "print per-query metrics")
 	)
 	flag.Parse()
@@ -135,14 +139,6 @@ func run() error {
 			return err
 		}
 		p.Faults = plan
-	}
-	if *trace != "" {
-		f, err := os.Create(*trace)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		p.Trace = f
 	}
 	if *metrics != "" {
 		p.Metrics = telemetry.NewRegistry()
@@ -279,7 +275,7 @@ func run() error {
 		}
 	}
 	if *spansOut != "" {
-		if err := dumpTo(*spansOut, p.Spans.WriteJSON); err != nil {
+		if err := dumpTo(*spansOut, p.Spans.WriteJSONL); err != nil {
 			return err
 		}
 	}

@@ -2,10 +2,8 @@ package faults
 
 import (
 	"math/rand"
-	"sort"
 
 	"manetskyline/internal/radio"
-	"manetskyline/internal/sim"
 	"manetskyline/internal/tuple"
 )
 
@@ -184,62 +182,4 @@ func (in *Injector) TxEffects(from radio.NodeID, now float64) (extraDelay float6
 		}
 	}
 	return extraDelay, in.dupScratch
-}
-
-// Event narrates one schedule boundary for traces and telemetry.
-type Event struct {
-	// T is the simulated time of the boundary.
-	T float64
-	// Kind names the fault and edge: "outage-start", "outage-end",
-	// "partition-start", "partition-end", "link-loss-start", ... Open-ended
-	// windows emit no end event.
-	Kind string
-	// Node is the affected node for outages, -1 otherwise.
-	Node int
-}
-
-// Schedule registers one engine event per schedule boundary and feeds each
-// to emit as simulated time passes — the hook the simulator uses to write
-// fault lines into its JSONL trace. Boundaries are sorted by (time, kind,
-// node) before scheduling so the trace order is stable regardless of plan
-// declaration order.
-func (in *Injector) Schedule(eng *sim.Engine, emit func(Event)) {
-	var evs []Event
-	add := func(w Window, kind string, node int) {
-		evs = append(evs, Event{T: w.Start, Kind: kind + "-start", Node: node})
-		if w.End > 0 {
-			evs = append(evs, Event{T: w.End, Kind: kind + "-end", Node: node})
-		}
-	}
-	for _, o := range in.plan.Outages {
-		add(o.Window, "outage", o.Node)
-	}
-	for _, pt := range in.plan.Partitions {
-		add(pt.Window, "partition", -1)
-	}
-	for _, l := range in.plan.LinkLoss {
-		add(l.Window, "link-loss", l.From)
-	}
-	for _, r := range in.plan.RegionLoss {
-		add(r.Window, "region-loss", -1)
-	}
-	for _, c := range in.plan.Duplicate {
-		add(c.Window, "duplicate", -1)
-	}
-	for _, c := range in.plan.Reorder {
-		add(c.Window, "reorder", -1)
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if evs[i].T != evs[j].T {
-			return evs[i].T < evs[j].T
-		}
-		if evs[i].Kind != evs[j].Kind {
-			return evs[i].Kind < evs[j].Kind
-		}
-		return evs[i].Node < evs[j].Node
-	})
-	for _, ev := range evs {
-		ev := ev
-		eng.At(ev.T, func() { emit(ev) })
-	}
 }

@@ -3,8 +3,6 @@ package manet
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"manetskyline/internal/faults"
@@ -53,15 +51,11 @@ type faultQuerySummary struct {
 	Recall  float64 `json:"recall"`
 }
 
-// TestFaultGoldenCrashPartition pins a faulty run end to end: the JSONL
-// trace (protocol events interleaved with fault boundary events) and the
-// recall summary must replay byte-for-byte. Regenerate with:
+// TestFaultGoldenCrashPartition pins a faulty run end to end: the span
+// JSONL and the recall summary must replay byte-for-byte. Regenerate with:
 // go test ./internal/manet -run FaultGolden -update
 func TestFaultGoldenCrashPartition(t *testing.T) {
-	var buf bytes.Buffer
-	p := faultGoldenParams()
-	p.Trace = &buf
-	out := Run(p)
+	got, out := runSpans(t, faultGoldenParams())
 
 	sum := faultSummary{Faults: out.Faults}
 	for _, q := range out.Queries {
@@ -77,92 +71,50 @@ func TestFaultGoldenCrashPartition(t *testing.T) {
 	if err := enc.Encode(sum); err != nil {
 		t.Fatal(err)
 	}
-
-	tracePath := filepath.Join("testdata", "fault_crash_partition.trace.jsonl")
-	sumPath := filepath.Join("testdata", "fault_crash_partition.summary.json")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(tracePath, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(sumPath, sumBuf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantTrace, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), wantTrace) {
-		t.Fatalf("fault trace diverged from golden %s\ngot %d bytes, want %d",
-			tracePath, buf.Len(), len(wantTrace))
-	}
-	wantSum, err := os.ReadFile(sumPath)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(sumBuf.Bytes(), wantSum) {
-		t.Fatalf("fault summary diverged from golden %s\ngot:\n%s\nwant:\n%s",
-			sumPath, sumBuf.String(), wantSum)
-	}
+	checkGolden(t, "fault_crash_partition.spans.jsonl", got)
+	checkGolden(t, "fault_crash_partition.summary.json", sumBuf.Bytes())
 
 	// The plan must actually have perturbed the run, or the golden pins
 	// nothing interesting.
 	if out.Faults.OutageDrops == 0 && out.Faults.PartitionDrops == 0 {
 		t.Errorf("crash+partition plan dropped nothing: %+v", out.Faults)
 	}
-	hasFaultEvent := false
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
-	for dec.More() {
-		var ev TraceEvent
-		if err := dec.Decode(&ev); err != nil {
-			t.Fatal(err)
-		}
-		if ev.Event == "fault" {
-			hasFaultEvent = true
-		}
+}
+
+// sameRun fails unless two runs recorded identical spans and substrate
+// counters.
+func sameRun(t *testing.T, what string, p1, p2 Params) {
+	t.Helper()
+	a, outA := runSpans(t, p1)
+	b, outB := runSpans(t, p2)
+	if !bytes.Equal(a, b) {
+		t.Errorf("%s: spans diverged: %d vs %d bytes", what, len(a), len(b))
 	}
-	if !hasFaultEvent {
-		t.Errorf("trace contains no fault boundary events")
+	if outA.Events != outB.Events {
+		t.Errorf("%s: events diverged: %d vs %d", what, outA.Events, outB.Events)
+	}
+	if outA.Radio != outB.Radio {
+		t.Errorf("%s: radio counters diverged: %+v vs %+v", what, outA.Radio, outB.Radio)
+	}
+	if outA.Aodv != outB.Aodv {
+		t.Errorf("%s: aodv counters diverged: %+v vs %+v", what, outA.Aodv, outB.Aodv)
 	}
 }
 
-// TestFaultGoldenDeterministic re-runs the pinned scenario and demands
-// identical traces — the schedule and the injector RNG must be fully
+// TestFaultGoldenDeterministic re-runs the pinned scenario and demands an
+// identical run — the schedule and the injector RNG must be fully
 // reproducible regardless of host or worker.
 func TestFaultGoldenDeterministic(t *testing.T) {
-	var a, b bytes.Buffer
-	pa := faultGoldenParams()
-	pa.Trace = &a
-	Run(pa)
-	pb := faultGoldenParams()
-	pb.Trace = &b
-	Run(pb)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("faulty runs diverged: %d vs %d trace bytes", a.Len(), b.Len())
-	}
+	sameRun(t, "faulty runs", faultGoldenParams(), faultGoldenParams())
 }
 
 // TestFaultFreePlanIsByteIdentical pins the tentpole's no-perturbation
-// contract directly: attaching a nil or empty plan leaves the trace
-// byte-identical to a run with no fault wiring at all.
+// contract directly: attaching an empty plan leaves the run identical to
+// one with no fault wiring at all.
 func TestFaultFreePlanIsByteIdentical(t *testing.T) {
-	var plain, empty bytes.Buffer
-	p1 := goldenParams()
-	p1.Trace = &plain
-	Run(p1)
-
-	p2 := goldenParams()
-	p2.Faults = &faults.Plan{Name: "empty"}
-	p2.Trace = &empty
-	Run(p2)
-
-	if !bytes.Equal(plain.Bytes(), empty.Bytes()) {
-		t.Fatalf("empty fault plan perturbed the run: %d vs %d trace bytes",
-			plain.Len(), empty.Len())
-	}
+	empty := goldenParams()
+	empty.Faults = &faults.Plan{Name: "empty"}
+	sameRun(t, "empty fault plan", goldenParams(), empty)
 }
 
 // TestRecallFloorDF is the CI recall gate: on the pinned 5%-loss scenario,

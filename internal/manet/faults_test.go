@@ -1,7 +1,11 @@
 package manet
 
 import (
+	"math"
 	"testing"
+
+	"manetskyline/internal/faults"
+	"manetskyline/internal/telemetry"
 )
 
 // Lossy-radio scenarios: the protocol must stay live (no panics, queries
@@ -166,5 +170,58 @@ func TestAllDimensionalities(t *testing.T) {
 		if out.CompletionRate() == 0 {
 			t.Errorf("dim=%d: no queries completed", dim)
 		}
+	}
+}
+
+// TestDuplicateResultsCountOnce pins the quorum against duplicated
+// deliveries: with every frame duplicated, a device's result can reach the
+// originator more than once, and each copy used to count toward the BF/SF
+// quorum. At its complete stage every completed query must have heard from
+// at least quorum distinct devices.
+func TestDuplicateResultsCountOnce(t *testing.T) {
+	for _, strategy := range []Forwarding{BreadthFirst, SamplingFilter} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			p := DefaultParams()
+			p.Grid = 3
+			p.GlobalN = 900
+			p.Strategy = strategy
+			p.SimTime = 1800
+			p.MinQueries, p.MaxQueries = 1, 1
+			p.Static = true
+			p.Radio.Range = 600
+			p.Seed = 11
+			p.Faults = &faults.Plan{Duplicate: []faults.Chaos{
+				{Window: faults.Window{Start: 0}, Prob: 1, MaxExtra: 1},
+			}}
+			p.Spans = telemetry.NewSpanLog()
+			out := Run(p)
+			if out.Faults.Duplicated == 0 {
+				t.Fatalf("duplication never fired: %+v", out.Faults)
+			}
+			quorum := int(math.Ceil(p.BFQuorum * float64(p.NumDevices()-1)))
+			completed := 0
+			for _, sp := range out.Spans {
+				if !sp.Done || sp.Partial {
+					continue
+				}
+				completed++
+				senders := map[int32]bool{}
+				for _, st := range sp.Stages {
+					if st.Kind == telemetry.StageComplete {
+						break
+					}
+					if st.Kind == telemetry.StageResult {
+						senders[st.Device] = true
+					}
+				}
+				if len(senders) < quorum {
+					t.Errorf("query (%d,%d) completed with %d distinct senders, quorum %d",
+						sp.Org, sp.Cnt, len(senders), quorum)
+				}
+			}
+			if completed == 0 {
+				t.Fatalf("no query completed")
+			}
+		})
 	}
 }

@@ -34,7 +34,25 @@ type bfOrigState struct {
 	q        core.Query
 	merged   []tuple.Tuple
 	quorum   int
+	from     senderSet
 	attempts int
+}
+
+// senderSet is a bitset over device IDs: the devices whose result an
+// originator has counted toward its quorum. Routed delivery does not
+// deduplicate, so a duplicated result must not count twice.
+type senderSet []uint64
+
+func newSenderSet(devices int) senderSet { return make(senderSet, (devices+63)/64) }
+
+// add records id and reports whether it was not yet in the set.
+func (s senderSet) add(id core.DeviceID) bool {
+	w, bit := id/64, uint64(1)<<(id%64)
+	if s[w]&bit != 0 {
+		return false
+	}
+	s[w] |= bit
+	return true
 }
 
 // dfState is a device's per-query state under depth-first forwarding.
@@ -91,7 +109,6 @@ func (n *node) maybeIssue() {
 		n.sc.eng.Schedule(d, func() { n.deadlineExpire(key) })
 	}
 	n.sc.spans.Begin(spanKey(q.Key()), n.sc.eng.Now())
-	n.sc.trace(TraceEvent{Event: "issue", Device: n.dev.ID, Org: q.Org, Cnt: q.Cnt})
 	// Local processing consumes simulated device time before anything is
 	// transmitted.
 	n.sc.eng.Schedule(n.sc.p.Cost.Time(res.Stats), func() {
@@ -121,8 +138,6 @@ func (n *node) finishQuery(key core.QueryKey, merged []tuple.Tuple) {
 		n.sc.spans.MarkPartial(spanKey(key))
 	}
 	n.sc.spans.Complete(spanKey(key), n.sc.eng.Now(), len(merged))
-	n.sc.trace(TraceEvent{Event: "complete", Device: n.dev.ID,
-		Org: key.Org, Cnt: key.Cnt, Tuples: len(merged), Partial: m.Partial})
 	if n.sc.p.KeepSkylines {
 		m.Skyline = merged
 	}
@@ -158,8 +173,6 @@ func (n *node) recordRetry(key core.QueryKey, attempt int) {
 		m.Retries = attempt
 	}
 	n.sc.met.QueryRetries.Inc()
-	n.sc.trace(TraceEvent{Event: "retry", Device: n.dev.ID,
-		Org: key.Org, Cnt: key.Cnt})
 	n.sc.spans.Observe(spanKey(key), telemetry.Stage{
 		T: n.sc.eng.Now(), Kind: telemetry.StageRetry, Device: int32(n.dev.ID),
 	})
@@ -171,7 +184,8 @@ func (n *node) bfStart(q core.Query, res localsky.Result) {
 	if n.bf == nil {
 		n.bf = make(map[core.QueryKey]*bfOrigState)
 	}
-	st := &bfOrigState{q: q, merged: res.Skyline, quorum: n.sc.quorum()}
+	st := &bfOrigState{q: q, merged: res.Skyline, quorum: n.sc.quorum(),
+		from: newSenderSet(len(n.sc.nodes))}
 	n.bf[q.Key()] = st
 	if qm := n.sc.metrics[q.Key()]; qm != nil && qm.Done {
 		return // the deadline fired during local processing
@@ -232,24 +246,19 @@ func (n *node) bfHandleQuery(msg *queryMsg) {
 	})
 }
 
-// observeProcess emits the process (and, on a §3.4 dynamic upgrade, the
-// filter-update) trace events and span stages for one Process outcome.
+// observeProcess records the process (and, on a §3.4 dynamic upgrade, the
+// filter-update) span stages for one Process outcome.
 // hops is the flood depth (BF) or route length (DF) of the triggering
 // message.
 func (n *node) observeProcess(q core.Query, res localsky.Result, hops int) {
 	key := q.Key()
 	pruned := res.Unreduced - len(res.Skyline)
-	n.sc.trace(TraceEvent{Event: "process", Device: n.dev.ID,
-		Org: key.Org, Cnt: key.Cnt, Tuples: len(res.Skyline),
-		Hops: hops, Pruned: pruned})
 	n.sc.spans.Observe(spanKey(key), telemetry.Stage{
 		T: n.sc.eng.Now(), Kind: telemetry.StageProcess,
 		Device: int32(n.dev.ID), Tuples: len(res.Skyline),
 		Hops: hops, Pruned: pruned,
 	})
 	if n.dev.Dynamic && core.FilterReplaced(q, res) {
-		n.sc.trace(TraceEvent{Event: "filter-update", Device: n.dev.ID,
-			Org: key.Org, Cnt: key.Cnt, Hops: hops})
 		n.sc.spans.Observe(spanKey(key), telemetry.Stage{
 			T: n.sc.eng.Now(), Kind: telemetry.StageFilterUpdate,
 			Device: int32(n.dev.ID), Hops: hops,
@@ -257,11 +266,12 @@ func (n *node) observeProcess(q core.Query, res localsky.Result, hops int) {
 	}
 }
 
-// bfHandleResult merges one device's result at the originator. hops is the
-// route length the result travelled.
+// bfHandleResult merges one device's result at the originator; a repeat
+// from the same device is ignored. hops is the route length the result
+// travelled.
 func (n *node) bfHandleResult(m *resultMsg, hops int) {
 	st := n.bf[m.Key]
-	if st == nil {
+	if st == nil || !st.from.add(m.From) {
 		return
 	}
 	st.merged = core.Merge(st.merged, m.Tuples)
@@ -271,8 +281,6 @@ func (n *node) bfHandleResult(m *resultMsg, hops int) {
 	}
 	qm.Results++
 	qm.ResultTuples = len(st.merged)
-	n.sc.trace(TraceEvent{Event: "result", Device: n.dev.ID,
-		Org: m.Key.Org, Cnt: m.Key.Cnt, Tuples: len(m.Tuples), Hops: hops})
 	n.sc.spans.Observe(spanKey(m.Key), telemetry.Stage{
 		T: n.sc.eng.Now(), Kind: telemetry.StageResult,
 		Device: int32(m.From), Tuples: len(m.Tuples), Hops: hops,
@@ -442,8 +450,6 @@ func (n *node) dfHandleResult(from radio.NodeID, hops int, m *dfResultMsg) {
 	st.merged = core.Merge(st.merged, m.Tuples)
 	if st.parent < 0 {
 		// Subtree results reaching the originator are DF's result arrivals.
-		n.sc.trace(TraceEvent{Event: "result", Device: n.dev.ID,
-			Org: m.Key.Org, Cnt: m.Key.Cnt, Tuples: len(m.Tuples), Hops: hops})
 		n.sc.spans.Observe(spanKey(m.Key), telemetry.Stage{
 			T: n.sc.eng.Now(), Kind: telemetry.StageResult,
 			Device: int32(from), Tuples: len(m.Tuples), Hops: hops,

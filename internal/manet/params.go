@@ -10,7 +10,6 @@ package manet
 
 import (
 	"fmt"
-	"io"
 
 	"manetskyline/internal/aodv"
 	"manetskyline/internal/core"
@@ -205,10 +204,6 @@ type Params struct {
 	// KeepSkylines retains each query's final merged skyline in the
 	// metrics, for verification.
 	KeepSkylines bool
-
-	// Trace, when non-nil, receives a JSONL event trace of the run
-	// (see TraceEvent).
-	Trace io.Writer
 
 	// Metrics, when non-nil, receives live counters from every layer of
 	// the stack (radio_*, aodv_*, core_*, manet_*). Instrumentation is

@@ -84,8 +84,5 @@ func (sc *scenario) redistributeOnce() {
 		best.dev.Rel = storage.NewHybrid(best.tuples)
 		sc.redist.transfers++
 		sc.met.Transfers.Inc()
-		to := best.dev.ID
-		sc.trace(TraceEvent{Event: "transfer", Device: n.dev.ID,
-			To: &to, Tuples: len(best.tuples)})
 	}
 }

@@ -1,7 +1,6 @@
 package manet
 
 import (
-	"encoding/json"
 	"math"
 	"sort"
 
@@ -80,7 +79,7 @@ type Outcome struct {
 	// end, after any redistribution), for verification; the union equals
 	// the global relation regardless of hand-offs.
 	DeviceTuples [][]tuple.Tuple
-	// Spans holds per-query timelines when Params.Spans was set.
+	// Spans is a snapshot of Params.Spans at the end of the run.
 	Spans []*telemetry.Span
 	// Faults holds the injector's drop/duplication tallies when a fault
 	// plan was attached.
@@ -182,9 +181,8 @@ type scenario struct {
 	redist  redistributionState
 	inj     *faults.Injector
 
-	traceEnc *json.Encoder
-	met      simMetrics
-	spans    *telemetry.SpanLog
+	met   simMetrics
+	spans *telemetry.SpanLog
 }
 
 // spanKey converts a query key to the telemetry span key.
@@ -216,13 +214,13 @@ func Run(p Params) *Outcome {
 	for i := range sc.nodes {
 		out.DeviceTuples = append(out.DeviceTuples, sc.nodes[i].tuples)
 	}
-	out.Spans = sc.spans.Spans()
 	if sc.inj != nil {
 		out.Faults = sc.inj.Stats
 	}
 	if p.Recall {
 		sc.computeRecall(out)
 	}
+	out.Spans = sc.spans.Spans()
 	return out
 }
 
@@ -251,17 +249,12 @@ func build(p Params) *scenario {
 		metrics: make(map[core.QueryKey]*QueryMetrics),
 		spans:   p.Spans,
 	}
-	sc.initTrace(p.Trace)
 	// Fault schedule: the injector draws from its own RNG and every hook is
 	// gated on its presence, so fault-free runs stay byte-identical.
 	if p.Faults != nil && !p.Faults.Empty() {
 		inj := faults.NewInjector(p.Faults, p.Seed)
 		med.SetFaults(inj)
 		sc.inj = inj
-		inj.Schedule(eng, func(ev faults.Event) {
-			sc.trace(TraceEvent{Event: "fault", Fault: ev.Kind,
-				Device: core.DeviceID(ev.Node)})
-		})
 	}
 	// Live telemetry: attach every layer's surface to the shared registry.
 	// Instrumentation only reads simulation state — it never draws from the
@@ -467,14 +460,8 @@ func (sc *scenario) computeRecall(out *Outcome) {
 			qm.Precision = float64(matched) / float64(len(qm.Skyline))
 		}
 		sc.met.Recall.Observe(qm.Recall)
-	}
-	// Annotate spans so per-query timelines carry their oracle score.
-	for _, sp := range out.Spans {
-		k := core.QueryKey{Org: core.DeviceID(sp.Org), Cnt: uint8(sp.Cnt)}
-		if qm := sc.metrics[k]; qm != nil {
-			r := qm.Recall
-			sp.Recall = &r
-		}
+		// Per-query timelines carry their oracle score.
+		sc.spans.SetRecall(spanKey(qm.Key), qm.Recall)
 	}
 	out.RecallComputed = true
 }

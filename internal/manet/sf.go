@@ -42,6 +42,7 @@ type sfOrigState struct {
 	// filters is the broadcast filter set, fixed when phase flips to 1.
 	filters []tuple.Tuple
 	quorum  int
+	from    senderSet // survivor senders counted toward the quorum
 	// phase is 0 while sampling, 1 while collecting survivors.
 	phase    int
 	attempts int
@@ -89,7 +90,8 @@ func (n *node) sfStart(q core.Query, res localsky.Result) {
 	}
 	bare := sfBare(q)
 	key := bare.Key()
-	st := &sfOrigState{q: bare, merged: res.Skyline, quorum: n.sc.quorum()}
+	st := &sfOrigState{q: bare, merged: res.Skyline, quorum: n.sc.quorum(),
+		from: newSenderSet(len(n.sc.nodes))}
 	n.sf[key] = st
 	if qm := n.sc.metrics[key]; qm != nil && qm.Done {
 		return // the deadline fired during local processing
@@ -143,8 +145,6 @@ func (n *node) sfBroadcastFilters(key core.QueryKey, st *sfOrigState) {
 	// means the pruning every device performs matches what actually
 	// travelled (conservative: rounded toward worse, exactness preserved).
 	st.filters = core.QuantizeFilters(selected, n.dev.Schema)
-	n.sc.trace(TraceEvent{Event: "filter-set", Device: n.dev.ID,
-		Org: key.Org, Cnt: key.Cnt, Tuples: len(st.filters)})
 	n.sc.spans.Observe(spanKey(key), telemetry.Stage{
 		T: n.sc.eng.Now(), Kind: telemetry.StageFilterSet,
 		Device: int32(n.dev.ID), Tuples: len(st.filters),
@@ -193,8 +193,6 @@ func (n *node) sfHandleSample(m *sfSampleMsg, hops int) {
 		return
 	}
 	st.merged = core.Merge(st.merged, m.Tuples)
-	n.sc.trace(TraceEvent{Event: "sample", Device: n.dev.ID,
-		Org: m.Key.Org, Cnt: m.Key.Cnt, Tuples: len(m.Tuples), Hops: hops})
 	n.sc.spans.Observe(spanKey(m.Key), telemetry.Stage{
 		T: n.sc.eng.Now(), Kind: telemetry.StageSample,
 		Device: int32(m.From), Tuples: len(m.Tuples), Hops: hops,
@@ -257,10 +255,10 @@ func (n *node) sfSendSurvivors(key core.QueryKey, ds *sfDevState, msg *sfFilterM
 }
 
 // sfHandleResult merges one device's survivors at the originator and
-// completes the query at quorum.
+// completes the query at quorum; a repeat from the same device is ignored.
 func (n *node) sfHandleResult(m *sfResultMsg, hops int) {
 	st := n.sf[m.Key]
-	if st == nil {
+	if st == nil || !st.from.add(m.From) {
 		return
 	}
 	st.merged = core.Merge(st.merged, m.Tuples)
@@ -270,8 +268,6 @@ func (n *node) sfHandleResult(m *sfResultMsg, hops int) {
 	}
 	qm.Results++
 	qm.ResultTuples = len(st.merged)
-	n.sc.trace(TraceEvent{Event: "result", Device: n.dev.ID,
-		Org: m.Key.Org, Cnt: m.Key.Cnt, Tuples: len(m.Tuples), Hops: hops})
 	n.sc.spans.Observe(spanKey(m.Key), telemetry.Stage{
 		T: n.sc.eng.Now(), Kind: telemetry.StageResult,
 		Device: int32(m.From), Tuples: len(m.Tuples), Hops: hops,

@@ -4,10 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
+
+	"manetskyline/internal/telemetry"
 )
 
 // sfGoldenParams is the SF variant of the tiny deterministic golden
@@ -18,90 +17,62 @@ func sfGoldenParams() Params {
 	return p
 }
 
-// TestSFTraceGolden pins the JSONL trace of a small deterministic SF run
+// TestSFTraceGolden pins the span JSONL of a small deterministic SF run
 // byte-for-byte: the sampling round, the filter-set broadcast, and the
 // survivor collection must replay identically from the seed alone.
 // Regenerate with: go test ./internal/manet -run SFTraceGolden -update
 func TestSFTraceGolden(t *testing.T) {
-	run := func() *bytes.Buffer {
-		var buf bytes.Buffer
-		p := sfGoldenParams()
-		p.Trace = &buf
-		Run(p)
-		return &buf
-	}
-	buf := run()
-
-	path := filepath.Join("testdata", "sf_small.trace.jsonl")
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("SF trace diverged from golden %s\n(re-run with -update if the change is intended)\ngot %d bytes, want %d",
-			path, buf.Len(), len(want))
-	}
+	got, out := runSpans(t, sfGoldenParams())
+	checkGolden(t, "sf_small.spans.jsonl", got)
 
 	// Seed determinism: a second run of the same params replays the exact
-	// same trace (filter selection, sampling, and scheduling draw only from
+	// same spans (filter selection, sampling, and scheduling draw only from
 	// seeded state).
-	if again := run(); !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatalf("two SF runs with the same seed produced different traces")
+	if again, _ := runSpans(t, sfGoldenParams()); !bytes.Equal(got, again) {
+		t.Fatalf("two SF runs with the same seed produced different spans")
 	}
 
-	// The trace must actually narrate the SF protocol: both phases appear.
-	events := map[string]int{}
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
-	for dec.More() {
-		var ev TraceEvent
-		if err := dec.Decode(&ev); err != nil {
-			t.Fatal(err)
+	// The spans must actually narrate the SF protocol: both phases appear.
+	kinds := map[string]int{}
+	for _, sp := range out.Spans {
+		for _, st := range sp.Stages {
+			kinds[st.Kind]++
 		}
-		events[ev.Event]++
 	}
-	for _, kind := range []string{"issue", "sample", "filter-set", "result", "complete"} {
-		if events[kind] == 0 {
-			t.Errorf("SF golden trace has no %q events", kind)
+	for _, kind := range []string{telemetry.StageIssue, telemetry.StageSample,
+		telemetry.StageFilterSet, telemetry.StageResult, telemetry.StageComplete} {
+		if kinds[kind] == 0 {
+			t.Errorf("SF golden spans have no %q stages", kind)
 		}
 	}
 }
 
-// Pinned digests of the BF golden scenarios' traces. Unlike the golden
+// Pinned digests of the BF golden scenarios' span JSONL. Unlike the golden
 // files, these constants cannot be regenerated with -update: if SF-era
 // changes ever perturb BF behavior, this test fails until the constants are
 // edited deliberately. (To recompute after an intended protocol change, run
 // the test and copy the digests from the failure message.)
 const (
-	bfGoldenTraceSHA256 = "41c1557e8fe890fc9cd02a96e05303f46b9f8df750435d0a8c9fd610e5eab9ef"
-	bfFaultGoldenSHA256 = "20f0690416b363e6ffd966314f5ab01e6ff67c6227294d92dc00c6b7a3d9340c"
+	bfGoldenTraceSHA256 = "ffd492218d66b350c299c5db0896afc2402c1214198fa4cc4ad2dbfedb17856b"
+	bfFaultGoldenSHA256 = "d33b55b856a998166c814d1381a08724f73594be1ca7bfe67b6721aa4769d2b9"
 )
 
 // TestBFGoldensUnchangedBySF re-runs the two BF golden scenarios fresh and
-// compares their trace digests against constants pinned in source. This is
+// compares their span digests against constants pinned in source. This is
 // the guard satellite of the SF work: adding a third strategy must leave
 // every BF run byte-identical, and because the expectation is a source
 // constant rather than a testdata file, a blanket `-update` cannot silently
 // absorb a regression.
 func TestBFGoldensUnchangedBySF(t *testing.T) {
 	digest := func(p Params) string {
-		var buf bytes.Buffer
-		p.Trace = &buf
-		Run(p)
-		sum := sha256.Sum256(buf.Bytes())
+		got, _ := runSpans(t, p)
+		sum := sha256.Sum256(got)
 		return hex.EncodeToString(sum[:])
 	}
 	if got := digest(goldenParams()); got != bfGoldenTraceSHA256 {
-		t.Errorf("BF small golden trace digest changed:\n got %s\nwant %s", got, bfGoldenTraceSHA256)
+		t.Errorf("BF small golden span digest changed:\n got %s\nwant %s", got, bfGoldenTraceSHA256)
 	}
 	if got := digest(faultGoldenParams()); got != bfFaultGoldenSHA256 {
-		t.Errorf("BF crash+partition golden trace digest changed:\n got %s\nwant %s", got, bfFaultGoldenSHA256)
+		t.Errorf("BF crash+partition golden span digest changed:\n got %s\nwant %s", got, bfFaultGoldenSHA256)
 	}
 }

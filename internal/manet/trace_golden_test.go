@@ -2,7 +2,6 @@ package manet
 
 import (
 	"bytes"
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -60,22 +59,29 @@ func TestTelemetryDoesNotPerturbRun(t *testing.T) {
 	}
 }
 
-// TestTraceGolden pins the JSONL trace of a small deterministic run
-// byte-for-byte, so any change to event ordering, timing, or encoding shows
-// up in review. Regenerate with: go test ./internal/manet -run TraceGolden -update
-func TestTraceGolden(t *testing.T) {
-	var buf bytes.Buffer
-	p := goldenParams()
-	p.Trace = &buf
+// runSpans runs p with a fresh span log and returns the log's JSONL, the
+// format skytrace reads, together with the outcome.
+func runSpans(t *testing.T, p Params) ([]byte, *Outcome) {
+	t.Helper()
 	p.Spans = telemetry.NewSpanLog()
 	out := Run(p)
+	var buf bytes.Buffer
+	if err := p.Spans.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes(), out
+}
 
-	path := filepath.Join("testdata", "trace_small.golden.jsonl")
+// checkGolden compares got byte for byte with testdata/name, rewriting the
+// file first under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,37 +89,85 @@ func TestTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden (run with -update to create): %v", err)
 	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("trace diverged from golden %s\n(re-run with -update if the change is intended)\ngot %d bytes, want %d",
-			path, buf.Len(), len(want))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("spans diverged from golden %s\n(re-run with -update if the change is intended)\ngot %d bytes, want %d",
+			path, len(got), len(want))
 	}
+}
 
-	// Span completeness against the same run: every issued query has a span,
-	// its stages are in lifecycle order, and completed spans end properly.
-	spans := out.Spans
-	if len(spans) != len(out.Queries) {
-		t.Fatalf("%d spans for %d queries", len(spans), len(out.Queries))
+// TestTraceGolden pins the span JSONL of a small deterministic run
+// byte-for-byte, so any change to event ordering, timing, or encoding shows
+// up in review, and checks that the spans of each input narrate its run
+// coherently. Regenerate with: go test ./internal/manet -run TraceGolden -update
+func TestTraceGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name, golden string
+		p            Params
+	}{
+		{"golden", "trace_small.spans.jsonl", goldenParams()},
+		{"small-bf", "", smallParams(BreadthFirst)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, out := runSpans(t, tc.p)
+			if tc.golden != "" {
+				checkGolden(t, tc.golden, got)
+			}
+			checkSpans(t, out)
+		})
 	}
-	for _, sp := range spans {
+}
+
+// checkSpans demands one span per issued query, each a timeline of known
+// stage kinds that starts with its issue, never goes back in time, and has
+// one complete stage, stamped at the span's end, exactly when the query is
+// done. Results that arrive after the quorum may follow the complete stage.
+func checkSpans(t *testing.T, out *Outcome) {
+	t.Helper()
+	if len(out.Spans) != len(out.Queries) {
+		t.Fatalf("%d spans for %d queries", len(out.Spans), len(out.Queries))
+	}
+	for i, sp := range out.Spans {
+		q := out.Queries[i]
+		if sp.Org != int32(q.Key.Org) || sp.Cnt != int32(q.Key.Cnt) {
+			t.Fatalf("span %d is (%d,%d), query is %v", i, sp.Org, sp.Cnt, q.Key)
+		}
 		if len(sp.Stages) < 2 {
 			t.Fatalf("span (%d,%d) has only %d stages", sp.Org, sp.Cnt, len(sp.Stages))
 		}
 		if sp.Stages[0].Kind != telemetry.StageIssue {
 			t.Errorf("span (%d,%d) does not start with issue: %q", sp.Org, sp.Cnt, sp.Stages[0].Kind)
 		}
-		prev := -1.0
+		prev, completes := -1.0, 0
 		for i, st := range sp.Stages {
 			if st.T < prev {
 				t.Errorf("span (%d,%d) stage %d goes back in time", sp.Org, sp.Cnt, i)
 			}
 			prev = st.T
+			switch st.Kind {
+			case telemetry.StageComplete:
+				completes++
+				if st.T != sp.End || st.Tuples != sp.ResultTuples {
+					t.Errorf("span (%d,%d) complete stage %+v disagrees with end %g, %d tuples",
+						sp.Org, sp.Cnt, st, sp.End, sp.ResultTuples)
+				}
+			case telemetry.StageIssue, telemetry.StageProcess, telemetry.StageFilterUpdate,
+				telemetry.StageResult, telemetry.StageRetry,
+				telemetry.StageSample, telemetry.StageFilterSet:
+			default:
+				t.Errorf("span (%d,%d) has unknown stage kind %q", sp.Org, sp.Cnt, st.Kind)
+			}
+		}
+		if sp.Done != q.Done {
+			t.Errorf("span (%d,%d) done=%v, query done=%v", sp.Org, sp.Cnt, sp.Done, q.Done)
 		}
 		if !sp.Done {
+			if completes != 0 {
+				t.Errorf("open span (%d,%d) has %d complete stages", sp.Org, sp.Cnt, completes)
+			}
 			continue
 		}
-		last := sp.Stages[len(sp.Stages)-1]
-		if last.Kind != telemetry.StageComplete {
-			t.Errorf("completed span (%d,%d) does not end with complete: %q", sp.Org, sp.Cnt, last.Kind)
+		if completes != 1 {
+			t.Errorf("completed span (%d,%d) has %d complete stages", sp.Org, sp.Cnt, completes)
 		}
 		if sp.Duration() < 0 {
 			t.Errorf("span (%d,%d) has negative duration", sp.Org, sp.Cnt)
@@ -122,41 +176,16 @@ func TestTraceGolden(t *testing.T) {
 			t.Errorf("completed span (%d,%d) reached no devices", sp.Org, sp.Cnt)
 		}
 	}
+}
 
-	// The trace and the spans narrate the same run: per-query event counts
-	// match the span aggregates.
-	type counts struct{ process, results, completes int }
-	perKey := map[[2]int]*counts{}
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
-	for dec.More() {
-		var ev TraceEvent
-		if err := dec.Decode(&ev); err != nil {
-			t.Fatal(err)
-		}
-		k := [2]int{int(ev.Org), int(ev.Cnt)}
-		if perKey[k] == nil {
-			perKey[k] = &counts{}
-		}
-		switch ev.Event {
-		case "process":
-			perKey[k].process++
-		case "result":
-			perKey[k].results++
-		case "complete":
-			perKey[k].completes++
-		}
+// TestTraceDisabledByDefault runs a scenario without a span log: nothing is
+// recorded and nothing panics.
+func TestTraceDisabledByDefault(t *testing.T) {
+	out := Run(smallParams(DepthFirst))
+	if len(out.Queries) == 0 {
+		t.Fatalf("sanity: queries should run")
 	}
-	for _, sp := range spans {
-		k := [2]int{int(sp.Org), int(sp.Cnt)}
-		c := perKey[k]
-		if c == nil {
-			t.Fatalf("span (%d,%d) has no trace events", sp.Org, sp.Cnt)
-		}
-		if c.process != sp.Devices {
-			t.Errorf("span (%d,%d): %d process events vs %d span devices", sp.Org, sp.Cnt, c.process, sp.Devices)
-		}
-		if c.results != sp.Results {
-			t.Errorf("span (%d,%d): %d result events vs %d span results", sp.Org, sp.Cnt, c.results, sp.Results)
-		}
+	if out.Spans != nil {
+		t.Errorf("spans recorded without a span log: %d", len(out.Spans))
 	}
 }

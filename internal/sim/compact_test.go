@@ -4,7 +4,7 @@ import "testing"
 
 // TestKindScheduling checks that compact events dispatch to their registered
 // handler with their argument words intact, interleaved in (time, FIFO)
-// order with closure and Runner events.
+// order with relative and absolute closure events.
 func TestKindScheduling(t *testing.T) {
 	e := NewEngine(1)
 	type hit struct {
@@ -18,11 +18,11 @@ func TestKindScheduling(t *testing.T) {
 	e.AtKind(2, k, 7, 1<<40)
 	e.Schedule(1, func() { order = append(order, 1) })
 	e.ScheduleKind(2, k, 9, 42) // same time as the first: FIFO by seq
-	e.ScheduleRunner(3, runnerFunc(func() { order = append(order, 3) }))
+	e.At(3, func() { order = append(order, 3) })
 	e.RunAll()
 
 	if len(order) != 2 || order[0] != 1 || order[1] != 3 {
-		t.Fatalf("closure/runner events out of order: %v", order)
+		t.Fatalf("closure events out of order: %v", order)
 	}
 	if len(hits) != 2 || hits[0] != (hit{7, 1 << 40}) || hits[1] != (hit{9, 42}) {
 		t.Fatalf("kind events wrong: %+v", hits)

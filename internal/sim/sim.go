@@ -15,10 +15,9 @@
 // Hot components (the radio medium's frame deliveries, per-link queues)
 // register their own event kinds with RegisterKind and schedule with
 // AtKind/ScheduleKind, packing node IDs and pool-slot indices into the two
-// argument words. One-off closures keep using Schedule/At, and pre-allocated
-// Runner values keep using ScheduleRunner/AtRunner: both are dispatched
-// through reserved kinds whose argument indexes a free-listed side table, so
-// the queue stays pointer-free either way.
+// argument words. One-off closures keep using Schedule/At, dispatched
+// through a reserved kind whose argument indexes a free-listed side table,
+// so the queue stays pointer-free either way.
 //
 // Event times remain float64 seconds. The tendermint-style gossip
 // simulators this design borrows from use int32 millisecond ticks; here the
@@ -32,22 +31,11 @@ import (
 	"math/rand"
 )
 
-// Runner is a pre-allocated event: Run is invoked when the event fires.
-// Pooled implementations let hot paths schedule without allocating a
-// closure per event.
-type Runner interface {
-	Run()
-}
-
 // Kind identifies a registered compact-event handler on one engine.
 type Kind uint16
 
-// Reserved kinds backing the closure and Runner APIs.
-const (
-	kindFunc Kind = iota
-	kindRunner
-	numReservedKinds
-)
+// kindFunc is the reserved kind backing the closure API.
+const kindFunc Kind = 0
 
 // Engine is a single-threaded discrete-event scheduler.
 type Engine struct {
@@ -57,17 +45,15 @@ type Engine struct {
 	rng   *rand.Rand
 	ran   uint64
 
-	// kinds maps a Kind to its handler; indices 0 and 1 are the reserved
-	// closure and Runner dispatchers.
+	// kinds maps a Kind to its handler; index 0 is the reserved closure
+	// dispatcher.
 	kinds []func(a uint32, b uint64)
 
-	// Side tables for the reserved kinds: pending closures and Runners live
-	// in free-listed slots referenced by the event's a-argument, keeping the
-	// queue itself pointer-free.
-	funcs      []func()
-	funcFree   []uint32
-	runners    []Runner
-	runnerFree []uint32
+	// Side table for kindFunc: pending closures live in free-listed slots
+	// referenced by the event's a-argument, keeping the queue itself
+	// pointer-free.
+	funcs    []func()
+	funcFree []uint32
 }
 
 // event is one queue entry: 32 bytes, no pointers.
@@ -83,20 +69,12 @@ type event struct {
 // random source.
 func NewEngine(seed int64) *Engine {
 	e := &Engine{rng: rand.New(rand.NewSource(seed))}
-	e.kinds = append(e.kinds,
-		func(a uint32, _ uint64) { // kindFunc
-			f := e.funcs[a]
-			e.funcs[a] = nil
-			e.funcFree = append(e.funcFree, a)
-			f()
-		},
-		func(a uint32, _ uint64) { // kindRunner
-			r := e.runners[a]
-			e.runners[a] = nil
-			e.runnerFree = append(e.runnerFree, a)
-			r.Run()
-		},
-	)
+	e.kinds = append(e.kinds, func(a uint32, _ uint64) { // kindFunc
+		f := e.funcs[a]
+		e.funcs[a] = nil
+		e.funcFree = append(e.funcFree, a)
+		f()
+	})
 	return e
 }
 
@@ -141,30 +119,6 @@ func (e *Engine) At(t float64, f func()) {
 		e.funcs = append(e.funcs, f)
 	}
 	e.AtKind(t, kindFunc, slot, 0)
-}
-
-// ScheduleRunner runs r after delay seconds of simulated time.
-func (e *Engine) ScheduleRunner(delay float64, r Runner) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %g", delay))
-	}
-	e.AtRunner(e.now+delay, r)
-}
-
-// AtRunner runs r at absolute simulated time t (not before the current
-// time). The event is stored by value and r may come from the caller's free
-// list; r itself parks in a free-listed side slot until the event fires.
-func (e *Engine) AtRunner(t float64, r Runner) {
-	var slot uint32
-	if n := len(e.runnerFree); n > 0 {
-		slot = e.runnerFree[n-1]
-		e.runnerFree = e.runnerFree[:n-1]
-		e.runners[slot] = r
-	} else {
-		slot = uint32(len(e.runners))
-		e.runners = append(e.runners, r)
-	}
-	e.AtKind(t, kindRunner, slot, 0)
 }
 
 // ScheduleKind queues a compact event after delay seconds of simulated time.

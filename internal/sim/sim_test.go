@@ -1,25 +1,48 @@
 package sim
 
 import (
+	"math"
 	"sort"
 	"testing"
 )
 
+// TestEventsRunInTimeOrder schedules the same delays through each
+// scheduling API, and through all of them interleaved ("mixed"), and
+// demands that the events run in time order.
 func TestEventsRunInTimeOrder(t *testing.T) {
-	e := NewEngine(1)
-	var order []float64
-	for _, d := range []float64{5, 1, 3, 2, 4} {
-		d := d
-		e.Schedule(d, func() { order = append(order, d) })
-	}
-	if n := e.RunAll(); n != 5 {
-		t.Fatalf("ran %d events, want 5", n)
-	}
-	if !sort.Float64sAreSorted(order) {
-		t.Fatalf("events out of order: %v", order)
-	}
-	if e.Now() != 5 {
-		t.Errorf("clock = %v, want 5", e.Now())
+	apis := []string{"Schedule", "At", "AtKind"}
+	for _, api := range append(apis, "mixed") {
+		t.Run(api, func(t *testing.T) {
+			e := NewEngine(1)
+			var order []float64
+			k := e.RegisterKind(func(_ uint32, b uint64) {
+				order = append(order, math.Float64frombits(b))
+			})
+			for i, d := range []float64{5, 1, 3, 2, 4} {
+				d := d
+				how := api
+				if api == "mixed" {
+					how = apis[i%len(apis)]
+				}
+				switch how {
+				case "Schedule":
+					e.Schedule(d, func() { order = append(order, d) })
+				case "At":
+					e.At(d, func() { order = append(order, d) })
+				case "AtKind":
+					e.AtKind(d, k, 0, math.Float64bits(d))
+				}
+			}
+			if n := e.RunAll(); n != 5 {
+				t.Fatalf("ran %d events, want 5", n)
+			}
+			if len(order) != 5 || !sort.Float64sAreSorted(order) {
+				t.Fatalf("events out of order: %v", order)
+			}
+			if e.Now() != 5 {
+				t.Errorf("clock = %v, want 5", e.Now())
+			}
+		})
 	}
 }
 
@@ -158,21 +181,3 @@ func TestScheduleStepZeroAllocs(t *testing.T) {
 		t.Errorf("Schedule+Step allocated %.1f objects/op, want 0", allocs)
 	}
 }
-
-// TestRunnerScheduling checks the Runner-based API orders and executes
-// events exactly like the closure API.
-func TestRunnerScheduling(t *testing.T) {
-	e := NewEngine(1)
-	var order []int
-	e.ScheduleRunner(2, runnerFunc(func() { order = append(order, 2) }))
-	e.AtRunner(1, runnerFunc(func() { order = append(order, 1) }))
-	e.Schedule(3, func() { order = append(order, 3) })
-	e.RunAll()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("runner events ran out of order: %v", order)
-	}
-}
-
-type runnerFunc func()
-
-func (f runnerFunc) Run() { f() }

@@ -210,6 +210,67 @@ func TestSpanLogWriteJSONL(t *testing.T) {
 	}
 }
 
+// TestSpanKeepsZeroValues pins that zero identifiers serialize: device 0
+// originates queries and the one-byte counter wraps, so a span of org 0,
+// cnt 0 on device 0 must still carry "org", "cnt" and "device" or its
+// stages could not be correlated.
+func TestSpanKeepsZeroValues(t *testing.T) {
+	l := NewSpanLog()
+	k := SpanKey{Org: 0, Cnt: 0}
+	l.Begin(k, 0.5)
+	l.Complete(k, 1.5, 3)
+	var sb strings.Builder
+	if err := l.WriteJSONL(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{`"org":0`, `"cnt":0`, `"device":0`,
+		`"kind":"issue"`, `"kind":"complete"`, `"result_tuples":3`} {
+		if !strings.Contains(out, want) {
+			t.Errorf("span JSONL missing %s:\n%s", want, out)
+		}
+	}
+}
+
+// TestSpansSnapshotWhileObserving reads every stage of Spans() while
+// another goroutine keeps appending to the same span. Spans() must return
+// copies, or the reader races with the writer (go test -race).
+func TestSpansSnapshotWhileObserving(t *testing.T) {
+	l := NewSpanLog()
+	k := SpanKey{Org: 1, Cnt: 1}
+	l.Begin(k, 0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			l.Observe(k, Stage{T: float64(i), Kind: StageProcess, Device: int32(i)})
+		}
+	}()
+	var sum float64
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		for _, sp := range l.Spans() {
+			for _, st := range sp.Stages {
+				sum += st.T
+			}
+		}
+	}
+	sp := l.Spans()[0]
+	if len(sp.Stages) != 2001 || sp.Devices != 2000 {
+		t.Fatalf("span has %d stages and %d devices, want 2001 and 2000", len(sp.Stages), sp.Devices)
+	}
+	// A snapshot does not change when the log does.
+	l.Observe(k, Stage{T: 1, Kind: StageResult})
+	if len(sp.Stages) != 2001 || sp.Results != 0 {
+		t.Errorf("snapshot changed after a later Observe: %d stages, %d results", len(sp.Stages), sp.Results)
+	}
+	_ = sum
+}
+
 func TestRegistryBytesReport(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("radio_bytes_sent_total", "h").Add(1000)

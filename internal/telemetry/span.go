@@ -3,16 +3,17 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sync"
 )
 
-// Spans turn the flat per-event trace into per-query timelines: one Span
-// per query, accumulating its issue→process→filter-update→result→complete
-// stages together with hop counts and filter-prune tallies. The simulator
-// feeds a SpanLog alongside its JSONL trace (internal/manet); the TCP peer
-// runtime can feed the same structure for live queries. Spans are an
-// enabled-only feature and may allocate (stage slices grow); the zero-alloc
-// guarantee of this package covers counters, gauges, and histograms.
+// Spans record queries as per-query timelines: one Span per query,
+// accumulating its issue→process→filter-update→result→complete stages
+// together with hop counts and filter-prune tallies. The simulator
+// (internal/manet) and the TCP peer runtime feed the same structure, and
+// WriteJSONL is the one trace format both emit. Spans are an enabled-only
+// feature and may allocate (stage slices grow); the zero-alloc guarantee of
+// this package covers counters, gauges, and histograms.
 
 // Stage kinds, in canonical lifecycle order.
 const (
@@ -210,6 +211,19 @@ func (l *SpanLog) MarkPartial(k SpanKey) {
 	}
 }
 
+// SetRecall annotates a span with its query's post-run recall against the
+// centralized oracle.
+func (l *SpanLog) SetRecall(k SpanKey, recall float64) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if sp := l.spans[k]; sp != nil {
+		sp.Recall = &recall
+	}
+}
+
 // Complete closes a span at time t with the final merged result size.
 func (l *SpanLog) Complete(k SpanKey, t float64, resultTuples int) {
 	if l == nil {
@@ -229,8 +243,9 @@ func (l *SpanLog) Complete(k SpanKey, t float64, resultTuples int) {
 	})
 }
 
-// Spans returns every span in Begin order. The returned spans are the live
-// objects; callers must not mutate them while the log is still being fed.
+// Spans returns a snapshot of every span in Begin order: each span and its
+// Stages are copied under the lock, so callers may read them while other
+// goroutines keep observing.
 func (l *SpanLog) Spans() []*Span {
 	if l == nil {
 		return nil
@@ -239,7 +254,13 @@ func (l *SpanLog) Spans() []*Span {
 	defer l.mu.Unlock()
 	out := make([]*Span, 0, len(l.order))
 	for _, k := range l.order {
-		out = append(out, l.spans[k])
+		sp := *l.spans[k]
+		sp.Stages = slices.Clone(sp.Stages)
+		if sp.Recall != nil {
+			r := *sp.Recall
+			sp.Recall = &r
+		}
+		out = append(out, &sp)
 	}
 	return out
 }
@@ -252,17 +273,6 @@ func (l *SpanLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.order)
-}
-
-// WriteJSON dumps every span as an indented JSON array.
-func (l *SpanLog) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	spans := l.Spans()
-	if spans == nil {
-		spans = []*Span{}
-	}
-	return enc.Encode(spans)
 }
 
 // WriteJSONL dumps every span as one JSON object per line — the /trace.jsonl

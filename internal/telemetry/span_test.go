@@ -64,31 +64,16 @@ func TestNilSpanLogIsNoOp(t *testing.T) {
 	k := SpanKey{}
 	l.Begin(k, 0)
 	l.Observe(k, Stage{Kind: StageProcess})
+	l.SetRecall(k, 1)
 	l.Complete(k, 1, 0)
 	if l.Len() != 0 || l.Spans() != nil {
 		t.Errorf("nil span log must no-op")
 	}
 	var sb strings.Builder
-	if err := l.WriteJSON(&sb); err != nil {
-		t.Errorf("nil WriteJSON: %v", err)
+	if err := l.WriteJSONL(&sb); err != nil {
+		t.Errorf("nil WriteJSONL: %v", err)
 	}
-	if strings.TrimSpace(sb.String()) != "[]" {
-		t.Errorf("nil span log JSON = %q, want []", sb.String())
-	}
-}
-
-func TestSpanWriteJSON(t *testing.T) {
-	l := NewSpanLog()
-	l.Begin(SpanKey{Org: 4, Cnt: 1}, 0.5)
-	l.Complete(SpanKey{Org: 4, Cnt: 1}, 1.5, 3)
-	var sb strings.Builder
-	if err := l.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{`"org": 4`, `"kind": "issue"`, `"kind": "complete"`, `"result_tuples": 3`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("span JSON missing %q:\n%s", want, out)
-		}
+	if sb.Len() != 0 {
+		t.Errorf("nil span log JSONL = %q, want empty", sb.String())
 	}
 }

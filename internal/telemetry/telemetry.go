@@ -2,8 +2,8 @@
 // reproduction: a registry of counters, gauges, and fixed-bucket histograms
 // that every layer — the radio medium, AODV routing, the core protocol, the
 // MANET simulator, and the live TCP peers — reports into, plus per-query
-// spans that turn the flat event trace into issue→process→…→complete
-// timelines.
+// issue→process→…→complete spans, the one trace both the simulator and the
+// live peers write.
 //
 // Two properties shape the design:
 //
