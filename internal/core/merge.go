@@ -43,11 +43,9 @@ func MergeAll(results ...[]tuple.Tuple) []tuple.Tuple {
 type merger struct {
 	keys [][3]uint64 // packed word, score bits, source<<32 | position
 
-	// The accepted rows: row r's attributes at [r*stride, (r+1)*stride),
-	// zero-padded past its width, and its packed word.
+	// The accepted rows, each filed under the cell of its packed word.
 	stride int
-	attrs  []float64
-	packed []uint64
+	cells  [1 << (2 * cellBits)]cell
 
 	// Quantization of the first fields attributes into bits-wide fields of
 	// one word: attribute j maps to (v-base[j])*scale[j], and guard holds
@@ -56,6 +54,16 @@ type merger struct {
 	base, scale  [maxFields]float64
 	guard        uint64
 }
+
+// cell holds one cell's accepted rows in acceptance order: row k's
+// attributes at [k*stride, (k+1)*stride), zero-padded, and its packed word.
+type cell struct {
+	attrs  []float64
+	packed []uint64
+}
+
+// cellBits top value bits of the first two packed fields make a row's cell.
+const cellBits = 3
 
 // maxFields bounds how many attributes pack quantizes: past eight the
 // fields get too coarse to reject much.
@@ -143,7 +151,10 @@ func (m *merger) mergeAll(results [][]tuple.Tuple) []tuple.Tuple {
 			return cmp.Or(slices.Compare(t.Attrs, u.Attrs), cmp.Compare(t.X, u.X), cmp.Compare(t.Y, u.Y))
 		})
 	}
-	m.attrs, m.packed = m.attrs[:0], m.packed[:0]
+	for i := range m.cells {
+		m.cells[i].attrs, m.cells[i].packed = m.cells[i].attrs[:0], m.cells[i].packed[:0]
+	}
+	n := 0
 	for k, c := range keys {
 		t, w := at(c), c[0]
 		// A dominated tuple drops, and so does a copy, which follows its
@@ -152,26 +163,54 @@ func (m *merger) mergeAll(results [][]tuple.Tuple) []tuple.Tuple {
 			continue
 		}
 		// Survivors gather at the front of keys, in slot k or one passed.
-		keys[len(m.packed)] = c
-		m.attrs = append(m.attrs, t.Attrs...)
-		m.attrs = append(m.attrs, make([]float64, m.stride-len(t.Attrs))...)
-		m.packed = append(m.packed, w)
+		keys[n] = c
+		a, b := m.cellOf(w)
+		cl := &m.cells[a<<cellBits|b]
+		cl.attrs = append(cl.attrs, t.Attrs...)
+		cl.attrs = append(cl.attrs, make([]float64, m.stride-len(t.Attrs))...)
+		cl.packed = append(cl.packed, w)
+		n++
 	}
-	out := make([]tuple.Tuple, len(m.packed))
-	for i, c := range keys[:len(m.packed)] {
+	out := make([]tuple.Tuple, n)
+	for i, c := range keys[:n] {
 		out[i] = at(c)
 	}
 	return out
 }
 
+// cellOf is the cell of a packed word: the top cellBits value bits of its
+// first two fields, or (0, 0) below two fields. Every step of pack is
+// monotone, so a row that dominates t has neither coordinate above t's.
+func (m *merger) cellOf(w uint64) (a, b int) {
+	if m.fields < 2 {
+		return 0, 0
+	}
+	s, mask := uint(m.bits-1-cellBits), uint64(1<<cellBits-1)
+	return int(w >> s & mask), int(w >> (s + uint(m.bits)) & mask)
+}
+
 // dominated reports whether an accepted row dominates t, whose packed word
-// is w: the guarded word first, then the exact test. It stays out of
-// mergeAll's loop so that its few live values keep to registers; written
-// inline there, the loop spilled and reloaded them on every row.
+// is w, visiting only the cells that can hold a dominator: from t's own
+// cell down to (0, 0), nearest first, where dominators are likeliest.
 func (m *merger) dominated(t tuple.Tuple, w uint64) bool {
-	guard, stride, width := m.guard, m.stride, len(t.Attrs)
-	for r, q := range m.packed {
-		if (w|guard-q)&guard == guard && (tuple.Tuple{Attrs: m.attrs[r*stride : r*stride+width]}).Dominates(t) {
+	a, b := m.cellOf(w)
+	for i := a; i >= 0; i-- {
+		for j := b; j >= 0; j-- {
+			if c := &m.cells[i<<cellBits|j]; len(c.packed) > 0 && c.dominates(m.stride, m.guard, t, w) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// dominates reports whether a row of c dominates t, whose packed word is w:
+// the guarded word first, then the exact test. It is kept small and apart
+// so that its loop's few live values stay in registers (ROADMAP 4(c)).
+func (c *cell) dominates(stride int, guard uint64, t tuple.Tuple, w uint64) bool {
+	width := len(t.Attrs)
+	for k, q := range c.packed {
+		if (w|guard-q)&guard == guard && (tuple.Tuple{Attrs: c.attrs[k*stride : k*stride+width]}).Dominates(t) {
 			return true
 		}
 	}

@@ -1,6 +1,11 @@
 package core
 
 import (
+	"cmp"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -48,6 +53,36 @@ func hasNaN(results [][]tuple.Tuple) bool {
 	})
 }
 
+// setEqual is skyline.SetEqual for NaN-free lists that hold no tuple
+// twice, in n log n: sorted by attributes and then place, the two lists
+// must agree tuple for tuple.
+func setEqual(a, b []tuple.Tuple) bool {
+	order := func(t, u tuple.Tuple) int {
+		return cmp.Or(slices.Compare(t.Attrs, u.Attrs), cmp.Compare(t.X, u.X), cmp.Compare(t.Y, u.Y))
+	}
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.SortFunc(a, order)
+	slices.SortFunc(b, order)
+	return slices.EqualFunc(a, b, tuple.Tuple.Equal)
+}
+
+// acSources deals n anti-correlated tuples at dim dimensions, integer
+// coded as in the paper, over a 5×5 grid of sources, as local_ac_25 does.
+// Continuous ones carry a random fraction besides.
+func acSources(n, dim int, seed int64, continuous bool) [][]tuple.Tuple {
+	cfg := gen.DefaultConfig(n, dim, gen.AntiCorrelated, seed)
+	data := gen.Generate(cfg)
+	if continuous {
+		r := rand.New(rand.NewSource(seed))
+		for i := range data {
+			for j := range data[i].Attrs {
+				data[i].Attrs[j] += r.Float64()
+			}
+		}
+	}
+	return gen.GridPartition(data, 5, cfg.Space)
+}
+
 // sameMergeAll checks MergeAll against skyline.BNL over the union of its
 // inputs, exact copies once, and against the left fold of Merge, both as
 // sets; with two inputs, Merge itself must return what MergeAll does. No
@@ -58,11 +93,13 @@ func sameMergeAll(t *testing.T, results [][]tuple.Tuple) bool {
 	t.Helper()
 	snapshot := make([][]tuple.Tuple, len(results))
 	var all, union []tuple.Tuple
+	atPlace := map[[2]float64][]tuple.Tuple{} // float keys match as == does
 	for i, r := range results {
 		for _, u := range r {
 			snapshot[i] = append(snapshot[i], u.Clone())
 			all = append(all, u)
-			if !slices.ContainsFunc(union, u.Equal) {
+			if k := [2]float64{u.X, u.Y}; !slices.ContainsFunc(atPlace[k], u.Equal) {
+				atPlace[k] = append(atPlace[k], u)
 				union = append(union, u)
 			}
 		}
@@ -86,10 +123,10 @@ func sameMergeAll(t *testing.T, results [][]tuple.Tuple) bool {
 				ok = false
 			}
 		}
-	} else if want := skyline.BNL(union); !skyline.SetEqual(got, want) {
+	} else if want := skyline.BNL(union); !setEqual(got, want) {
 		t.Errorf("MergeAll differs from BNL over the union\ngot %v\nBNL %v", got, want)
 		ok = false
-	} else if fold := foldMerge(results); !skyline.SetEqual(got, fold) {
+	} else if fold := foldMerge(results); !setEqual(got, fold) {
 		t.Errorf("MergeAll kept %d tuples, the fold %d\ngot  %v\nfold %v", len(got), len(fold), got, fold)
 		ok = false
 	}
@@ -338,6 +375,13 @@ func TestQuickMergeAllMatchesFold(t *testing.T) {
 		}
 		i++
 	}
+	// Scale 0 packs the first field to zero: the index is one cell column.
+	constFirst := acSources(10000, 3, 4, false)
+	for _, r := range constFirst {
+		for _, u := range r {
+			u.Attrs[0] = 7
+		}
+	}
 	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
 	victim, dominator := tp(0, 0, 1e16, 1), tp(1, 1, 1e16, 0)
 	cases := []struct {
@@ -365,22 +409,77 @@ func TestQuickMergeAllMatchesFold(t *testing.T) {
 			{tp(0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2)},
 			{tp(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1), tp(2, 2, 1, 1, 1, 1, 1, 1, 1, 1, 2, 0)}}},
 		{"past radixMin", wide},
+		{"past maxFields, 4 000 tuples", acSources(4000, maxFields+1, 9, false)},
+		{"constant first attribute", constFirst},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) { sameMergeAll(t, c.results) })
 	}
+	// 10 000 tuples over 25 sources fill the merger's cells.
+	for _, dim := range []int{2, 3, 5} {
+		for _, continuous := range []bool{false, true} {
+			t.Run(fmt.Sprintf("AC d=%d continuous=%v", dim, continuous), func(t *testing.T) {
+				sameMergeAll(t, acSources(10000, dim, int64(dim), continuous))
+			})
+		}
+	}
+}
+
+// orderDigest is a sha256 over a tuple sequence: place and attributes, bit
+// for bit, in order.
+func orderDigest(ts []tuple.Tuple) string {
+	h := sha256.New()
+	for _, t := range ts {
+		for _, v := range append([]float64{t.X, t.Y}, t.Attrs...) {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// MergeAll's result order is part of what it returns. The digests pin the
+// exact sequence for local_ac_25's union (seed 1, originator 0) and for 25
+// anti-correlated sources at two and five dimensions; they were recorded
+// from a plain scan of the whole window, which the cell index must match.
+func TestMergeAllOrderDigests(t *testing.T) {
+	cfg := gen.DefaultConfig(50000, 3, gen.AntiCorrelated, 1)
+	parts := gen.GridPartition(gen.Generate(cfg), 5, cfg.Space)
+	devs := make([]*Device, len(parts))
+	for i, p := range parts {
+		devs[i] = NewDevice(DeviceID(i), p, cfg.Schema(), Under, true)
+	}
+	cases := []struct {
+		name, want string
+		got        []tuple.Tuple
+	}{
+		{"local_ac_25", "6267741fb43da68044c793dc473bf74f50f419def4baf5b057d8a78cee939e5b", RunStatic(devs, 5, 0).Skyline},
+		{"AC d=2", "4ea3bacdecd601515f1940e4924046f59e79965d77e21cb9d2c42f4f8e4fa54f", MergeAll(acSources(10000, 2, 1, false)...)},
+		{"AC d=5", "93bdd6ed5551a753b584be98dde98225542853ed0e014ccbed46f0cc22e1e541", MergeAll(acSources(10000, 5, 1, false)...)},
+	}
+	for _, c := range cases {
+		if got := orderDigest(c.got); got != c.want {
+			t.Errorf("%s: MergeAll's %d tuples digest to %s, want %s", c.name, len(c.got), got, c.want)
+		}
+	}
 }
 
 // FuzzMergeAll deals fuzzed tuples over a palette of hard values (ties,
-// 1e16, ±Inf, -0) out to sources, one source repeating another's tail, and
-// checks MergeAll as TestQuickMergeAllMatchesFold does.
+// 1e16, ±Inf, -0) and values spread over a range, which fall in different
+// cells of the merger's index, out to sources, one source repeating
+// another's tail, and checks MergeAll as TestQuickMergeAllMatchesFold does.
 func FuzzMergeAll(f *testing.F) {
 	// Palette indices: 0→0, 1→1, 4→1e16. {1e16,1} then {1e16,0}; and with
 	// {0,1e16} beside them, the pair ties in packed word too.
 	f.Add([]byte{4, 1, 4, 0}, uint8(2), uint8(1))
 	f.Add([]byte{4, 1, 0, 4, 4, 0}, uint8(2), uint8(2))
 	f.Add([]byte{1, 2, 3, 5, 6, 7, 0, 1}, uint8(3), uint8(3))
-	palette := []float64{0, 1, 2, 3, 1e16, math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	// Indices 8 and up spread from 10 to 100: over 0..100 the tuples fill
+	// cells across both axes, and some dominate across cells.
+	f.Add([]byte{8, 13, 13, 8, 9, 9, 10, 12, 12, 10, 11, 11, 13, 13, 0, 12, 12, 0}, uint8(1), uint8(4))
+	f.Add([]byte{8, 12, 10, 12, 8, 9, 10, 10, 10, 9, 13, 8, 13, 9, 8, 11, 11, 11, 0, 13, 12}, uint8(2), uint8(3))
+	// {25,70} alone dominates {40,70}, from the cell beside it.
+	f.Add([]byte{13, 0, 0, 13, 9, 12, 10, 12}, uint8(1), uint8(2))
+	palette := []float64{0, 1, 2, 3, 1e16, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 10, 25, 40, 55, 70, 100}
 	f.Fuzz(func(t *testing.T, raw []byte, dimRaw, cut uint8) {
 		dim := 1 + int(dimRaw%10)
 		var ts []tuple.Tuple
