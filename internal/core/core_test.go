@@ -14,37 +14,10 @@ func tp(x, y float64, attrs ...float64) tuple.Tuple {
 	return tuple.Tuple{X: x, Y: y, Attrs: attrs}
 }
 
-func TestVDRPaperExample(t *testing.T) {
-	// §3.2: bounds (200, 10); VDR(h21)=980, VDR(h22)=880, VDR(h23)=720.
-	hi := []float64{200, 10}
-	cases := []struct {
-		tpl  tuple.Tuple
-		want float64
-	}{
-		{tp(0, 0, 60, 3), 980},
-		{tp(0, 0, 90, 2), 880},
-		{tp(0, 0, 120, 1), 720},
-	}
-	for _, c := range cases {
-		if got := VDR(c.tpl, hi); got != c.want {
-			t.Errorf("VDR(%v) = %v, want %v", c.tpl, got, c.want)
-		}
-	}
-}
-
-func TestVDRClampsAtZero(t *testing.T) {
-	if got := VDR(tp(0, 0, 300, 5), []float64{200, 10}); got != 0 {
-		t.Errorf("tuple above bound should have zero VDR, got %v", got)
-	}
-	if got := VDR(tp(0, 0, 200, 5), []float64{200, 10}); got != 0 {
-		t.Errorf("tuple at bound should have zero VDR, got %v", got)
-	}
-}
-
 func TestSelectFilterPaperExample(t *testing.T) {
 	sky := []tuple.Tuple{tp(2, 1, 60, 3), tp(2, 2, 90, 2), tp(2, 3, 120, 1)}
 	hi := []float64{200, 10}
-	flt, v := SelectFilter(sky, func(t tuple.Tuple) float64 { return VDR(t, hi) })
+	flt, v := SelectFilter(sky, func(t tuple.Tuple) float64 { return skyline.VDR(t, hi) })
 	if flt == nil || !flt.Equal(tp(2, 1, 60, 3)) {
 		t.Fatalf("filter = %v, want h21", flt)
 	}
@@ -319,7 +292,7 @@ func TestProcessShadowUnreducedOnSkip(t *testing.T) {
 	data := []tuple.Tuple{tp(0, 0, 50, 50), tp(1, 1, 60, 70)}
 	d := NewDevice(1, data, schema, Exact, true)
 	flt := tp(9, 9, 1, 1)
-	q := Query{Org: 2, Cnt: 1, D: Unconstrained(), Filter: &flt, FilterVDR: VDR(flt, schema.Max)}
+	q := Query{Org: 2, Cnt: 1, D: Unconstrained(), Filter: &flt, FilterVDR: skyline.VDR(flt, schema.Max)}
 	res := d.Process(q)
 	if !res.Stats.SkippedFilter {
 		t.Fatalf("filter should skip the whole relation")
@@ -435,7 +408,7 @@ func TestSelectFiltersExtension(t *testing.T) {
 	if len(one) != 1 {
 		t.Fatalf("k=1 should return one filter")
 	}
-	single, _ := SelectFilter(sky, func(t tuple.Tuple) float64 { return VDR(t, hi) })
+	single, _ := SelectFilter(sky, func(t tuple.Tuple) float64 { return skyline.VDR(t, hi) })
 	if !one[0].Equal(*single) {
 		t.Errorf("k=1 should match SelectFilter")
 	}

@@ -1,0 +1,313 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"manetskyline/internal/gen"
+	"manetskyline/internal/localsky"
+	"manetskyline/internal/skyline"
+	"manetskyline/internal/tuple"
+)
+
+// chanNet is an in-test synchronous channel for the flood machine: a static
+// 3×3 grid with 4-neighbour links, one queue of pending steps (frame
+// deliveries and processing completions), and a policy choosing which step
+// runs next. A timer fires only when the queue is empty.
+type chanNet struct {
+	t     *testing.T
+	g     int
+	fls   []*Flood
+	queue []step
+	pick  func(n int) int // index of the next step among n pending
+	dup   bool            // enqueue every frame twice
+	armed []armed
+	// quorum is the originators' completion threshold.
+	quorum int
+
+	processed map[QueryKey][]int // Process requests per device
+	counted   map[QueryKey]map[DeviceID]bool
+	completed map[QueryKey][]tuple.Tuple
+	completes int
+	survivors map[DeviceID]int
+}
+
+// step is a frame to deliver to device to, or (done) the completion of
+// to's processing of m.
+type step struct {
+	to   DeviceID
+	m    Msg
+	done bool
+	res  localsky.Result
+}
+
+type armed struct {
+	key QueryKey
+	t   Timer
+}
+
+func newChanNet(t *testing.T, devs []*Device, g int, opt FloodOptions) *chanNet {
+	n := &chanNet{
+		t: t, g: g,
+		processed: make(map[QueryKey][]int),
+		counted:   make(map[QueryKey]map[DeviceID]bool),
+		completed: make(map[QueryKey][]tuple.Tuple),
+		survivors: make(map[DeviceID]int),
+		quorum:    Quorum(1, len(devs)),
+	}
+	for _, d := range devs {
+		n.fls = append(n.fls, &Flood{Dev: d, Opt: opt})
+	}
+	return n
+}
+
+// io is device id's FloodIO.
+func (n *chanNet) io(id DeviceID) FloodIO { return chanIO{n, id} }
+
+func (n *chanNet) push(to DeviceID, m Msg) {
+	n.queue = append(n.queue, step{to: to, m: m})
+	if n.dup {
+		n.queue = append(n.queue, step{to: to, m: m})
+	}
+}
+
+// run drains the queue, firing armed timers whenever it runs dry.
+func (n *chanNet) run() {
+	for len(n.queue) > 0 || len(n.armed) > 0 {
+		if len(n.queue) == 0 {
+			a := n.armed[0]
+			n.armed = n.armed[1:]
+			n.fls[a.key.Org].Fire(a.key, a.t, n.io(a.key.Org))
+			continue
+		}
+		i := n.pick(len(n.queue))
+		s := n.queue[i]
+		n.queue = append(n.queue[:i], n.queue[i+1:]...)
+		if s.done {
+			n.fls[s.to].Processed(&s.m, s.res, n.io(s.to))
+		} else {
+			n.deliver(s.to, &s.m)
+		}
+	}
+}
+
+// deliver hands a frame to device to, noting the senders of results
+// reaching their originator.
+func (n *chanNet) deliver(to DeviceID, m *Msg) (dup bool) {
+	if to == m.Q.Org && (m.Kind == MsgResult || m.Kind == MsgSurvivors) {
+		key := m.Key()
+		if n.counted[key] == nil {
+			n.counted[key] = make(map[DeviceID]bool)
+		}
+		n.counted[key][m.From] = true
+	}
+	return n.fls[to].Receive(m, n.io(to))
+}
+
+type chanIO struct {
+	n  *chanNet
+	id DeviceID
+}
+
+// Process evaluates at once and queues the completion as a step of its own,
+// so frames can overtake it.
+func (c chanIO) Process(m *Msg) {
+	key := m.Key()
+	if c.n.processed[key] == nil {
+		c.n.processed[key] = make([]int, len(c.n.fls))
+	}
+	c.n.processed[key][c.id]++
+	res := c.n.fls[c.id].Dev.Process(m.Q)
+	c.n.queue = append(c.n.queue, step{to: c.id, m: *m, done: true, res: res})
+}
+
+func (c chanIO) Send(m Msg) {
+	if m.Kind == MsgSurvivors {
+		c.n.survivors[c.id]++
+	}
+	c.n.push(m.Q.Org, m)
+}
+
+func (c chanIO) Flood(m Msg) {
+	r, col := int(c.id)/c.n.g, int(c.id)%c.n.g
+	for _, d := range gridNeighbors {
+		nr, nc := r+d[0], col+d[1]
+		if nr >= 0 && nr < c.n.g && nc >= 0 && nc < c.n.g {
+			c.n.push(DeviceID(nr*c.n.g+nc), m)
+		}
+	}
+}
+
+func (c chanIO) Arm(key QueryKey, t Timer, _ int) {
+	c.n.armed = append(c.n.armed, armed{key, t})
+}
+
+func (c chanIO) Merged(*Msg, []tuple.Tuple) {}
+
+func (c chanIO) Complete(key QueryKey, merged []tuple.Tuple) {
+	c.n.completes++
+	c.n.completed[key] = merged
+	// Completion needs quorum distinct senders, whatever was duplicated.
+	if got, want := len(c.n.counted[key]), c.n.quorum; got < want {
+		c.n.t.Errorf("query %v completed with %d distinct senders, quorum %d", key, got, want)
+	}
+}
+
+// TestFloodMachineOverChannel drives BF and SF through the machine on a
+// static 3×3 grid, with no simulator and no sockets, under FIFO, reversed
+// and shuffled delivery, each as is and with every frame duplicated. Every
+// device originates once in turn.
+func TestFloodMachineOverChannel(t *testing.T) {
+	const g, dist = 3, 450
+	orders := []struct {
+		name string
+		pick func(r *rand.Rand) func(int) int
+	}{
+		{"fifo", func(*rand.Rand) func(int) int { return func(int) int { return 0 } }},
+		{"reversed", func(*rand.Rand) func(int) int { return func(n int) int { return n - 1 } }},
+		{"shuffle", func(r *rand.Rand) func(int) int { return r.Intn }},
+	}
+	for _, sf := range []bool{false, true} {
+		for _, o := range orders {
+			for _, dup := range []bool{false, true} {
+				name := fmt.Sprintf("bf/%s/dup=%v", o.name, dup)
+				if sf {
+					name = fmt.Sprintf("sf/%s/dup=%v", o.name, dup)
+				}
+				t.Run(name, func(t *testing.T) {
+					devs := staticDevices(t, 3000, 2, g, gen.Independent, Under, true, 5)
+					var all []tuple.Tuple
+					for _, d := range devs {
+						for i := 0; i < d.Rel.Len(); i++ {
+							all = append(all, d.Rel.Tuple(i))
+						}
+					}
+					n := newChanNet(t, devs, g, FloodOptions{SampleK: 2, SampleTTL: 1, FilterK: 2})
+					n.pick = o.pick(rand.New(rand.NewSource(11)))
+					n.dup = dup
+					for org, d := range devs {
+						pos := d.Rel.MBR().Center()
+						q, res := d.Originate(pos, dist)
+						n.fls[org].Originate(q, res.Skyline, n.quorum, sf, n.io(DeviceID(org)))
+						n.run()
+
+						key := q.Key()
+						want := skyline.Constrained(all, pos, dist)
+						if got := n.completed[key]; !skyline.SetEqual(got, want) {
+							t.Errorf("org %d: %d tuples, want %d", org, len(got), len(want))
+						}
+						for id, c := range n.processed[key] {
+							if id != org && c != 1 {
+								t.Errorf("org %d: device %d processed the query %d times", org, id, c)
+							}
+						}
+						if _, _, complete := n.fls[org].Outcome(key); !complete {
+							t.Errorf("org %d: query not complete", org)
+						}
+					}
+					if n.completes != len(devs) {
+						t.Errorf("%d completions for %d queries", n.completes, len(devs))
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestFloodMachineQuorumCountsDistinctSenders replays one device's result
+// to the originator: the repeat must not count toward the quorum.
+func TestFloodMachineQuorumCountsDistinctSenders(t *testing.T) {
+	devs := staticDevices(t, 500, 2, 3, gen.Independent, Under, true, 2)
+	n := newChanNet(t, devs, 3, FloodOptions{})
+	n.quorum = 2
+	fl := n.fls[0]
+	q, res := devs[0].Originate(devs[0].Rel.MBR().Center(), Unconstrained())
+	fl.Originate(q, res.Skyline, n.quorum, false, n.io(0))
+	n.queue = nil // the test delivers by hand
+	reply := Msg{Kind: MsgResult, Q: keyQuery(q.Key()), From: 4}
+	for i := 0; i < 3; i++ {
+		if dup := n.deliver(0, &reply); dup != (i > 0) {
+			t.Errorf("delivery %d: dup = %v", i, dup)
+		}
+	}
+	if _, results, complete := fl.Outcome(q.Key()); results != 1 || complete {
+		t.Fatalf("after one sender thrice: results=%d complete=%v", results, complete)
+	}
+	reply.From = 5
+	n.deliver(0, &reply)
+	if _, results, complete := fl.Outcome(q.Key()); results != 2 || !complete || n.completes != 1 {
+		t.Errorf("after two senders: results=%d complete=%v completions=%d", results, complete, n.completes)
+	}
+}
+
+// TestFloodMachineFilterDuringPendingProcessing pins the rule for an SF
+// filter flood that reaches a device while its own sampling-round
+// processing is still pending: that copy changes nothing, and the next copy
+// is answered. The device sends survivors exactly once.
+func TestFloodMachineFilterDuringPendingProcessing(t *testing.T) {
+	devs := staticDevices(t, 2000, 2, 3, gen.Independent, Under, true, 3)
+	n := newChanNet(t, devs, 3, FloodOptions{SampleK: 2, SampleTTL: 1, FilterK: 2})
+	n.pick = func(int) int { return 0 }
+	q, res := devs[0].Originate(devs[0].Rel.MBR().Center(), Unconstrained())
+	n.fls[0].Originate(q, res.Skyline, n.quorum, true, n.io(0))
+	bare := q.WithFilter(nil, 0)
+	bare.Extra = nil
+	filters := QuantizeFilters(res.Skyline[:1], devs[0].Schema)
+	n.queue = nil
+
+	const x = 1 // a neighbour of the originator
+	fl, io := n.fls[x], n.io(x)
+	req := Msg{Kind: MsgSampleReq, Q: bare, SampleK: 2, TTL: 1, Hops: 1}
+	fl.Receive(&req, io)
+	if len(n.queue) != 1 || !n.queue[0].done {
+		t.Fatalf("sample request: queue %+v, want one pending processing", n.queue)
+	}
+	pending := n.queue[0]
+	n.queue = nil
+	filt := Msg{Kind: MsgFilters, Q: bare, Tuples: filters, Hops: 1}
+	fl.Receive(&filt, io)
+	if len(n.queue) != 0 {
+		t.Fatalf("filter flood during processing emitted %d steps, want none", len(n.queue))
+	}
+	fl.Processed(&pending.m, pending.res, io)
+	if len(n.queue) != 1 || n.queue[0].m.Kind != MsgSample {
+		t.Fatalf("processing done: queue %+v, want one sample", n.queue)
+	}
+	for i := 0; i < 3; i++ {
+		fl.Receive(&filt, io)
+	}
+	if n.survivors[x] != 1 {
+		t.Errorf("device sent survivors %d times, want 1", n.survivors[x])
+	}
+}
+
+// nopIO discards the machine's outputs.
+type nopIO struct{}
+
+func (nopIO) Process(*Msg)                     {}
+func (nopIO) Send(Msg)                         {}
+func (nopIO) Flood(Msg)                        {}
+func (nopIO) Arm(QueryKey, Timer, int)         {}
+func (nopIO) Merged(*Msg, []tuple.Tuple)       {}
+func (nopIO) Complete(QueryKey, []tuple.Tuple) {}
+
+// TestFloodRelayPathAllocationFree pins the BF relay path — a first-time
+// query, then its processing result: reply and forward — at zero
+// allocations in the machine.
+func TestFloodRelayPathAllocationFree(t *testing.T) {
+	devs := staticDevices(t, 500, 2, 2, gen.Independent, Under, true, 4)
+	q, _ := devs[0].Originate(devs[0].Rel.MBR().Center(), Unconstrained())
+	res := devs[1].Process(q)
+	fl := &Flood{Dev: devs[1]}
+	var io FloodIO = nopIO{}
+	m := Msg{Kind: MsgQuery, Q: q, Hops: 1}
+	allocs := testing.AllocsPerRun(200, func() {
+		m.Q.Cnt++ // a fresh query each run
+		fl.Receive(&m, io)
+		fl.Processed(&m, res, io)
+	})
+	if allocs != 0 {
+		t.Errorf("relay path: %v allocs per query, want 0", allocs)
+	}
+}

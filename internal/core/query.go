@@ -6,9 +6,11 @@
 // region computations used to choose filtering tuples (§3.3), the dynamic
 // filter update of §3.4, the per-device duplicate-query log (§3.4), result
 // assembly with duplicate elimination (§4.3), the data-reduction-rate
-// accounting of Formula 1, and the static-grid executor used for the
-// pre-tests of §5.2.2-I. The MANET simulator (internal/manet) and the live
-// peer runtime (internal/tcp) both drive their devices through this package.
+// accounting of Formula 1, the static-grid executor used for the pre-tests
+// of §5.2.2-I, and the BF/SF flood protocol as one transport-agnostic state
+// machine (Flood). The MANET simulator (internal/manet) and the live peer
+// runtime (internal/tcp) both drive their devices, and Flood, through this
+// package.
 package core
 
 import (

@@ -126,24 +126,6 @@ func TestQuickFilterSafety(t *testing.T) {
 	}
 }
 
-// VDR is monotone: a tuple that dominates another has at least as large a
-// dominating region under any common bounds.
-func TestQuickVDRMonotone(t *testing.T) {
-	f := func(av, bv [3]uint8, hi [3]uint8) bool {
-		a := tuple.Tuple{Attrs: []float64{float64(av[0]), float64(av[1]), float64(av[2])}}
-		b := tuple.Tuple{Attrs: []float64{float64(bv[0]), float64(bv[1]), float64(bv[2])}}
-		bounds := []float64{float64(hi[0]) + 256, float64(hi[1]) + 256, float64(hi[2]) + 256}
-		if !a.Dominates(b) {
-			return true
-		}
-		return VDR(a, bounds) >= VDR(b, bounds)
-	}
-	cfg := &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(8))}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 // The query log accepts each (org, cnt) exactly once regardless of arrival
 // pattern, as long as counters don't interleave (the paper's one-query-in-
 // flight assumption).

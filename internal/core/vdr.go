@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"manetskyline/internal/localsky"
+	"manetskyline/internal/skyline"
 	"manetskyline/internal/storage"
 	"manetskyline/internal/tuple"
 )
@@ -43,22 +44,6 @@ func (e Estimation) String() string {
 // paper's "larger than the global domain upper bound".
 const DefaultOverFactor = 2.0
 
-// VDR computes Π_k (hi_k - p_k), the volume of the dominating region of t
-// against upper bounds hi. Negative factors (a tuple above the assumed
-// bound, possible under under-estimation) clamp to zero: such a tuple has
-// no credited pruning volume.
-func VDR(t tuple.Tuple, hi []float64) float64 {
-	v := 1.0
-	for k, p := range t.Attrs {
-		f := hi[k] - p
-		if f <= 0 {
-			return 0
-		}
-		v *= f
-	}
-	return v
-}
-
 // VDRBounds returns the upper bounds a device should use under the given
 // estimation mode. schema carries the global bounds (consulted only for
 // Exact and Over); rel supplies the local maxima for Under; overFactor > 1
@@ -93,10 +78,11 @@ func VDRBounds(mode Estimation, schema tuple.Schema, rel storage.Relation, overF
 	return hi
 }
 
-// VDRFunc builds the localsky scoring function for the given mode.
+// VDRFunc builds the localsky scoring function for the given mode: the
+// skyline.VDR volume against the mode's bounds.
 func VDRFunc(mode Estimation, schema tuple.Schema, rel storage.Relation, overFactor float64) localsky.VDRFunc {
 	hi := VDRBounds(mode, schema, rel, overFactor)
-	return func(t tuple.Tuple) float64 { return VDR(t, hi) }
+	return func(t tuple.Tuple) float64 { return skyline.VDR(t, hi) }
 }
 
 // SelectFilter picks the tuple with the maximum VDR from a local skyline —

@@ -23,33 +23,37 @@ func querySize(q core.Query) int {
 	return s
 }
 
-// queryMsg disseminates a query under breadth-first forwarding (one-hop
-// broadcast, rebroadcast by every first-time receiver).
-type queryMsg struct {
-	Q core.Query
-	// Hops is the flood depth: 1 at the originator's broadcast, +1 per
-	// rebroadcast. It is simulator bookkeeping for traces and spans, not
-	// protocol payload, and is deliberately excluded from SizeBytes so
-	// airtime, timing, and goldens are unchanged by instrumentation.
-	Hops int
+// floodMsg carries one BF or SF message (core.Msg) over the radio.
+// SizeBytes is the paper's byte accounting; the bookkeeping fields (Hops,
+// Attempt, Acc) are not payload and never sized, so airtime, timing and
+// goldens are unchanged by instrumentation.
+type floodMsg struct {
+	core.Msg
 }
 
-func (m *queryMsg) SizeBytes() int { return querySize(m.Q) }
-
-// resultMsg returns one device's reduced local skyline to the originator
-// under breadth-first forwarding (multi-hop unicast).
-type resultMsg struct {
-	Key    core.QueryKey
-	From   core.DeviceID
-	Tuples []tuple.Tuple
-}
-
-func (m *resultMsg) SizeBytes() int {
+func (m *floodMsg) SizeBytes() int {
 	dim := 0
 	if len(m.Tuples) > 0 {
 		dim = m.Tuples[0].Dim()
 	}
-	return 16 + len(m.Tuples)*tupleBytes(dim)
+	switch m.Kind {
+	case core.MsgQuery:
+		// The flood carries the query with its filter and VDR score.
+		return querySize(m.Q)
+	case core.MsgSampleReq:
+		// The sampling round's bare query plus sample budget and TTL.
+		return querySize(m.Q) + 3
+	case core.MsgFilters:
+		// The collect phase's bare query plus the filter set. Filters
+		// prune by dominance only, so they travel as 16-bit fixed-point
+		// attribute codes (core.QuantizeFilters): 2·dim bytes each instead
+		// of tupleBytes(dim). That keeps SF's flood below BF's
+		// query+filter+VDR scale on a flood-dominated dense network.
+		return querySize(m.Q) + 2 + len(m.Tuples)*2*dim
+	default:
+		// Results, samples and survivors: key, sender and tuples.
+		return 16 + len(m.Tuples)*tupleBytes(dim)
+	}
 }
 
 // dfQueryMsg hands the query to one neighbour under depth-first forwarding.
@@ -89,103 +93,17 @@ func (m *dfResultMsg) SizeBytes() int {
 	return s
 }
 
-// sfQueryMsg broadcasts the SF sampling round: a bare query (no filter —
-// every receiver computes its full local skyline for the later collect
-// phase) plus the per-device sample budget. The sampling round is
-// TTL-limited (default one hop): SF only needs a representative
-// neighbourhood sample to pick filters from, so it does not pay for a full
-// flood here — devices beyond the TTL first hear of the query from the
-// filter flood, which carries the full spec for exactly that reason.
-type sfQueryMsg struct {
-	Q       core.Query
-	SampleK int
-	// TTL is the remaining hop budget: receivers rebroadcast only while
-	// TTL > 1.
-	TTL int
-	// Hops is simulator bookkeeping like queryMsg.Hops, excluded from
-	// SizeBytes.
-	Hops int
-}
-
-func (m *sfQueryMsg) SizeBytes() int { return querySize(m.Q) + 3 }
-
-// sfSampleMsg returns one device's seeded skyline sample to the SF
-// originator (multi-hop unicast).
-type sfSampleMsg struct {
-	Key    core.QueryKey
-	From   core.DeviceID
-	Tuples []tuple.Tuple
-}
-
-func (m *sfSampleMsg) SizeBytes() int {
-	dim := 0
-	if len(m.Tuples) > 0 {
-		dim = m.Tuples[0].Dim()
-	}
-	return 16 + len(m.Tuples)*tupleBytes(dim)
-}
-
-// sfFilterMsg is SF's one full flood, opening the collect phase: the query
-// spec (a device outside the sampling TTL answers from this message alone)
-// together with the selected filter set. Filters prune by dominance only —
-// their positions are never read — and travel as 16-bit fixed-point
-// attribute codes over the schema's global bounds (core.QuantizeFilters):
-// 2·dim bytes per filter instead of tupleBytes(dim). That keeps the flood
-// payload below BF's query+filter+VDR scale, which is what lets SF come
-// out ahead on a flood-dominated dense network.
-type sfFilterMsg struct {
-	Q       core.Query
-	Filters []tuple.Tuple
-	Hops    int
-}
-
-func (m *sfFilterMsg) SizeBytes() int {
-	s := querySize(m.Q) + 2
-	dim := 0
-	if len(m.Filters) > 0 {
-		dim = m.Filters[0].Dim()
-	}
-	return s + len(m.Filters)*2*dim
-}
-
-// sfResultMsg returns one device's surviving tuples — its local skyline
-// pruned by the filter set, minus the sample it already sent — to the SF
-// originator.
-type sfResultMsg struct {
-	Key    core.QueryKey
-	From   core.DeviceID
-	Tuples []tuple.Tuple
-}
-
-func (m *sfResultMsg) SizeBytes() int {
-	dim := 0
-	if len(m.Tuples) > 0 {
-		dim = m.Tuples[0].Dim()
-	}
-	return 16 + len(m.Tuples)*tupleBytes(dim)
-}
-
 // queryKeyOf extracts the query key from any manet protocol payload, for
 // per-query message attribution; ok is false for non-manet payloads.
 func queryKeyOf(p any) (core.QueryKey, bool) {
 	switch m := p.(type) {
-	case *queryMsg:
-		return m.Q.Key(), true
-	case *resultMsg:
-		return m.Key, true
+	case *floodMsg:
+		return m.Key(), true
 	case *dfQueryMsg:
 		return m.Q.Key(), true
 	case *dfAckMsg:
 		return m.Key, true
 	case *dfResultMsg:
-		return m.Key, true
-	case *sfQueryMsg:
-		return m.Q.Key(), true
-	case *sfSampleMsg:
-		return m.Key, true
-	case *sfFilterMsg:
-		return m.Q.Key(), true
-	case *sfResultMsg:
 		return m.Key, true
 	default:
 		return core.QueryKey{}, false

@@ -23,36 +23,9 @@ type node struct {
 	// not issue a new query while one is outstanding).
 	busy bool
 
-	bf    map[core.QueryKey]*bfOrigState
-	df    map[core.QueryKey]*dfState
-	sf    map[core.QueryKey]*sfOrigState
-	sfDev map[core.QueryKey]*sfDevState
-}
-
-// bfOrigState is the originator's collection state for one BF query.
-type bfOrigState struct {
-	q        core.Query
-	merged   []tuple.Tuple
-	quorum   int
-	from     senderSet
-	attempts int
-}
-
-// senderSet is a bitset over device IDs: the devices whose result an
-// originator has counted toward its quorum. Routed delivery does not
-// deduplicate, so a duplicated result must not count twice.
-type senderSet []uint64
-
-func newSenderSet(devices int) senderSet { return make(senderSet, (devices+63)/64) }
-
-// add records id and reports whether it was not yet in the set.
-func (s senderSet) add(id core.DeviceID) bool {
-	w, bit := id/64, uint64(1)<<(id%64)
-	if s[w]&bit != 0 {
-		return false
-	}
-	s[w] |= bit
-	return true
+	// fl runs BF and SF; the node is its core.FloodIO.
+	fl core.Flood
+	df map[core.QueryKey]*dfState
 }
 
 // dfState is a device's per-query state under depth-first forwarding.
@@ -72,17 +45,6 @@ type dfState struct {
 	attempts     int
 	retryPending bool // a traversal restart is scheduled (gen changes during
 	// the resumed walk, so a generation guard cannot protect the retry timer)
-}
-
-// bfFlood broadcasts one hop of a BF query flood. With Params.FloodRoutes,
-// the flood frame carries the originator and hop count so receivers install
-// reverse routes for their result returns (see aodv.BroadcastLocalRouted);
-// otherwise it is a plain local broadcast, as in the paper.
-func (n *node) bfFlood(msg *queryMsg) int {
-	if n.sc.p.FloodRoutes {
-		return n.sc.net.BroadcastLocalRouted(n.id, radio.NodeID(msg.Q.Org), msg.Hops, msg)
-	}
-	return n.sc.net.BroadcastLocal(n.id, msg)
 }
 
 // maybeIssue fires at a scheduled issue time; a device with a query in
@@ -112,19 +74,21 @@ func (n *node) maybeIssue() {
 	// Local processing consumes simulated device time before anything is
 	// transmitted.
 	n.sc.eng.Schedule(n.sc.p.Cost.Time(res.Stats), func() {
-		switch n.sc.p.Strategy {
-		case BreadthFirst:
-			n.bfStart(q, res)
-		case DepthFirst:
+		if n.sc.p.Strategy == DepthFirst {
 			n.dfStart(q, res)
-		case SamplingFilter:
-			n.sfStart(q, res)
+			return
 		}
+		if qm := n.sc.metrics[q.Key()]; qm != nil && qm.Done {
+			return // the deadline fired during local processing
+		}
+		n.fl.Originate(q, res.Skyline, core.Quorum(n.sc.p.BFQuorum, len(n.sc.nodes)),
+			n.sc.p.Strategy == SamplingFilter, n)
 	})
 }
 
-// finishQuery closes out an originator's query.
-func (n *node) finishQuery(key core.QueryKey, merged []tuple.Tuple) {
+// Complete closes out an originator's query: its quorum answered (the
+// flood machine's Complete), its DF traversal ended, or its deadline fired.
+func (n *node) Complete(key core.QueryKey, merged []tuple.Tuple) {
 	m := n.sc.metrics[key]
 	if m == nil || m.Done {
 		return
@@ -155,16 +119,14 @@ func (n *node) deadlineExpire(key core.QueryKey) {
 	m.Partial = true
 	n.sc.met.QueriesPartial.Inc()
 	var merged []tuple.Tuple
-	if st := n.bf[key]; st != nil {
-		merged = st.merged
-	} else if st := n.df[key]; st != nil {
+	if st := n.df[key]; st != nil {
 		merged = st.merged
 		st.done = true
 		st.gen++ // invalidate ack/subtree timers of the abandoned traversal
-	} else if st := n.sf[key]; st != nil {
-		merged = st.merged
+	} else {
+		merged = n.fl.Expire(key)
 	}
-	n.finishQuery(key, merged)
+	n.Complete(key, merged)
 }
 
 // recordRetry accounts one originator re-issue across the metric surfaces.
@@ -178,72 +140,87 @@ func (n *node) recordRetry(key core.QueryKey, attempt int) {
 	})
 }
 
-// --- breadth-first ----------------------------------------------------------
+// --- breadth-first and sampling-filter: the core.FloodIO driver ------------
 
-func (n *node) bfStart(q core.Query, res localsky.Result) {
-	if n.bf == nil {
-		n.bf = make(map[core.QueryKey]*bfOrigState)
-	}
-	st := &bfOrigState{q: q, merged: res.Skyline, quorum: n.sc.quorum(),
-		from: newSenderSet(len(n.sc.nodes))}
-	n.bf[q.Key()] = st
-	if qm := n.sc.metrics[q.Key()]; qm != nil && qm.Done {
-		return // the deadline fired during local processing
-	}
-	if st.quorum == 0 {
-		n.finishQuery(q.Key(), st.merged)
-		return
-	}
-	first := &queryMsg{Q: q, Hops: 1}
-	n.sc.countQueryMessages(q.Key(), n.bfFlood(first), first.SizeBytes())
-	n.bfScheduleRetry(q.Key(), st)
-}
-
-// bfScheduleRetry arms the next re-flood under the retry policy: if the
-// query is still open when the backoff elapses, the originator floods the
-// query again. Devices that saw the first flood ignore the repeat (QueryLog
-// dedup), so a re-flood only reaches devices the original missed.
-func (n *node) bfScheduleRetry(key core.QueryKey, st *bfOrigState) {
-	if st.attempts >= n.sc.p.QueryRetries {
-		return
-	}
-	n.sc.eng.Schedule(n.sc.p.retryDelay(st.attempts), func() {
-		qm := n.sc.metrics[key]
-		if qm == nil || qm.Done {
-			return
-		}
-		st.attempts++
-		n.recordRetry(key, st.attempts)
-		refl := &queryMsg{Q: st.q, Hops: 1}
-		n.sc.countQueryMessages(key, n.bfFlood(refl), refl.SizeBytes())
-		n.bfScheduleRetry(key, st)
-	})
-}
-
-// bfHandleQuery runs a first-time receiver's side of the flood.
-func (n *node) bfHandleQuery(msg *queryMsg) {
-	q := msg.Q
-	if !n.dev.FirstTime(q.Key()) {
-		return
-	}
-	res := n.dev.Process(q)
+// Process runs the local evaluation the flood machine asks for and hands the
+// result back once the cost model's processing time has passed.
+func (n *node) Process(m *core.Msg) {
+	res := n.dev.Process(m.Q)
 	n.sc.eng.Schedule(n.sc.p.Cost.Time(res.Stats), func() {
-		n.sc.observe(q.Key(), processOutcome{
-			reducedLen: len(res.Skyline),
-			unreduced:  res.Unreduced,
-			filters:    q.NumFilters(),
-			skippedMBR: res.Stats.SkippedMBR,
-		})
-		n.observeProcess(q, res, msg.Hops)
-		// Result back to the originator (multi-hop), even when empty: the
-		// paper's devices always return a correct, short message.
-		n.sc.net.Send(n.id, radio.NodeID(q.Org), &resultMsg{
-			Key: q.Key(), From: n.dev.ID, Tuples: res.Skyline,
-		})
-		// Keep flooding with the (possibly upgraded) filter.
-		fwd := &queryMsg{Q: core.Forwardable(q, res), Hops: msg.Hops + 1}
-		n.sc.countQueryMessages(q.Key(), n.bfFlood(fwd), fwd.SizeBytes())
+		if m.Kind == core.MsgQuery {
+			n.sc.observe(m.Key(), processAcc(m.Q, res), res.Stats.SkippedMBR)
+		}
+		n.observeProcess(m.Q, res, m.Hops)
+		n.fl.Processed(m, res, n)
 	})
+}
+
+// Send returns a reply to the originator over AODV (multi-hop).
+func (n *node) Send(m core.Msg) {
+	if m.Kind == core.MsgSurvivors {
+		n.sc.observe(m.Key(), m.Acc, false)
+	}
+	n.sc.net.Send(n.id, radio.NodeID(m.Q.Org), &floodMsg{Msg: m})
+}
+
+// Flood broadcasts one hop of a flood. With Params.FloodRoutes the frame
+// carries the originator and hop count so receivers install reverse routes
+// for their replies (see aodv.BroadcastLocalRouted); otherwise it is a
+// plain local broadcast, as in the paper.
+func (n *node) Flood(m core.Msg) {
+	key := m.Key()
+	switch {
+	case m.Attempt > 0:
+		n.recordRetry(key, m.Attempt)
+	case m.Kind == core.MsgFilters && m.Hops == 1:
+		// The originator's first filter flood: the set was just selected.
+		n.sc.spans.Observe(spanKey(key), telemetry.Stage{
+			T: n.sc.eng.Now(), Kind: telemetry.StageFilterSet,
+			Device: int32(n.dev.ID), Tuples: len(m.Tuples),
+		})
+	}
+	p := &floodMsg{Msg: m}
+	var sent int
+	if n.sc.p.FloodRoutes {
+		sent = n.sc.net.BroadcastLocalRouted(n.id, radio.NodeID(key.Org), m.Hops, p)
+	} else {
+		sent = n.sc.net.BroadcastLocal(n.id, p)
+	}
+	n.sc.countQueryMessages(key, sent, p.SizeBytes())
+}
+
+// Arm schedules a flood timer: SF's sample wait or the retry back-off.
+func (n *node) Arm(key core.QueryKey, t core.Timer, attempt int) {
+	d := n.sc.p.sampleWait()
+	if t == core.TimerRetry {
+		d = n.sc.p.retryDelay(attempt)
+	}
+	n.sc.eng.Schedule(d, func() { n.fl.Fire(key, t, n) })
+}
+
+// Merged records a reply the originator folded in: a sample, or a result
+// counted toward the quorum.
+func (n *node) Merged(m *core.Msg, merged []tuple.Tuple) {
+	key := m.Key()
+	stage := telemetry.Stage{
+		T: n.sc.eng.Now(), Kind: telemetry.StageResult,
+		Device: int32(m.From), Tuples: len(m.Tuples), Hops: m.Hops,
+	}
+	if m.Kind == core.MsgSample {
+		stage.Kind = telemetry.StageSample
+		n.sc.spans.Observe(spanKey(key), stage)
+		return
+	}
+	qm := n.sc.metrics[key]
+	if qm == nil {
+		return
+	}
+	qm.Results++
+	qm.ResultTuples = len(merged)
+	n.sc.spans.Observe(spanKey(key), stage)
+	if n.sc.p.KeepSkylines {
+		qm.Skyline = merged
+	}
 }
 
 // observeProcess records the process (and, on a §3.4 dynamic upgrade, the
@@ -263,33 +240,6 @@ func (n *node) observeProcess(q core.Query, res localsky.Result, hops int) {
 			T: n.sc.eng.Now(), Kind: telemetry.StageFilterUpdate,
 			Device: int32(n.dev.ID), Hops: hops,
 		})
-	}
-}
-
-// bfHandleResult merges one device's result at the originator; a repeat
-// from the same device is ignored. hops is the route length the result
-// travelled.
-func (n *node) bfHandleResult(m *resultMsg, hops int) {
-	st := n.bf[m.Key]
-	if st == nil || !st.from.add(m.From) {
-		return
-	}
-	st.merged = core.Merge(st.merged, m.Tuples)
-	qm := n.sc.metrics[m.Key]
-	if qm == nil {
-		return
-	}
-	qm.Results++
-	qm.ResultTuples = len(st.merged)
-	n.sc.spans.Observe(spanKey(m.Key), telemetry.Stage{
-		T: n.sc.eng.Now(), Kind: telemetry.StageResult,
-		Device: int32(m.From), Tuples: len(m.Tuples), Hops: hops,
-	})
-	if n.sc.p.KeepSkylines {
-		qm.Skyline = st.merged
-	}
-	if !qm.Done && qm.Results >= st.quorum {
-		n.finishQuery(m.Key, st.merged)
 	}
 }
 
@@ -376,7 +326,7 @@ func (n *node) dfFinish(st *dfState) {
 			return
 		}
 		st.done = true
-		n.finishQuery(key, st.merged)
+		n.Complete(key, st.merged)
 		return
 	}
 	st.done = true
@@ -403,12 +353,7 @@ func (n *node) dfHandleQuery(from radio.NodeID, hops int, m *dfQueryMsg) {
 	n.putDF(key, st)
 	res := n.dev.Process(m.Q)
 	n.sc.eng.Schedule(n.sc.p.Cost.Time(res.Stats), func() {
-		n.sc.observe(key, processOutcome{
-			reducedLen: len(res.Skyline),
-			unreduced:  res.Unreduced,
-			filters:    m.Q.NumFilters(),
-			skippedMBR: res.Stats.SkippedMBR,
-		})
+		n.sc.observe(key, processAcc(m.Q, res), res.Stats.SkippedMBR)
 		n.observeProcess(m.Q, res, hops)
 		st.merged = res.Skyline
 		st.flt = res.Filter
@@ -488,29 +433,24 @@ func (n *node) dfHandleResult(from radio.NodeID, hops int, m *dfResultMsg) {
 // the number of links the payload traversed, supplied by the routing layer.
 func (n *node) onData(src radio.NodeID, hops int, payload radio.Payload) {
 	switch m := payload.(type) {
-	case *resultMsg:
-		n.bfHandleResult(m, hops)
+	case *floodMsg:
+		// A reply reports the route length it travelled. Routed delivery
+		// hands a payload to its one destination, so this write is the
+		// payload's last use.
+		m.Hops = hops
+		n.fl.Receive(&m.Msg, n)
 	case *dfQueryMsg:
 		n.dfHandleQuery(src, hops, m)
 	case *dfAckMsg:
 		n.dfHandleAck(src, m)
 	case *dfResultMsg:
 		n.dfHandleResult(src, hops, m)
-	case *sfSampleMsg:
-		n.sfHandleSample(m, hops)
-	case *sfResultMsg:
-		n.sfHandleResult(m, hops)
 	}
 }
 
 // onLocal receives one-hop broadcasts (the BF flood and both SF floods).
 func (n *node) onLocal(from radio.NodeID, payload radio.Payload) {
-	switch m := payload.(type) {
-	case *queryMsg:
-		n.bfHandleQuery(m)
-	case *sfQueryMsg:
-		n.sfHandleQuery(m)
-	case *sfFilterMsg:
-		n.sfHandleFilter(m)
+	if m, ok := payload.(*floodMsg); ok {
+		n.fl.Receive(&m.Msg, n)
 	}
 }

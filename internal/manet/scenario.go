@@ -1,13 +1,13 @@
 package manet
 
 import (
-	"math"
 	"sort"
 
 	"manetskyline/internal/aodv"
 	"manetskyline/internal/core"
 	"manetskyline/internal/faults"
 	"manetskyline/internal/gen"
+	"manetskyline/internal/localsky"
 	"manetskyline/internal/mobility"
 	"manetskyline/internal/radio"
 	"manetskyline/internal/sim"
@@ -294,6 +294,9 @@ func build(p Params) *scenario {
 	if p.CompactMobility && !p.Static {
 		field = mobility.NewField(p.Mobility)
 	}
+	flood := core.FloodOptions{
+		Retries: p.QueryRetries, SampleK: p.sampleK(), SampleTTL: p.sampleTTL(), FilterK: p.filterK(),
+	}
 	rng := eng.RNG()
 	sc.nodes = make([]node, len(parts))
 	for i, part := range parts {
@@ -323,6 +326,7 @@ func build(p Params) *scenario {
 		n := &sc.nodes[i]
 		n.sc = sc
 		n.dev = dev
+		n.fl = core.Flood{Dev: dev, Opt: flood}
 		n.tuples = part
 		n.id = net.AddNode(mob, n.onData, n.onLocal)
 	}
@@ -373,15 +377,17 @@ func (sc *scenario) newMetrics(q core.Query) *QueryMetrics {
 // counting their shipped filter as pure cost would push the rate negative
 // for small query distances, which is not what the paper's Figures 8-9
 // measure.
-func (sc *scenario) observe(key core.QueryKey, res processOutcome) {
+func (sc *scenario) observe(key core.QueryKey, acc core.DRRAccumulator, skippedMBR bool) {
 	m := sc.metrics[key]
-	if m == nil || res.skippedMBR || res.unreduced == 0 {
+	if m == nil || skippedMBR || acc.Unreduced == 0 {
 		return
 	}
-	m.Acc.Reduced += res.reducedLen
-	m.Acc.Unreduced += res.unreduced
-	m.Acc.Devices++
-	m.Acc.Filters += res.filters
+	m.Acc.Add(acc)
+}
+
+// processAcc is one device's Formula 1 contribution for processing q.
+func processAcc(q core.Query, res localsky.Result) core.DRRAccumulator {
+	return core.DRRAccumulator{Reduced: len(res.Skyline), Unreduced: res.Unreduced, Devices: 1, Filters: q.NumFilters()}
 }
 
 // countQueryMessages attributes query-forwarding messages to a query; a
@@ -395,24 +401,6 @@ func (sc *scenario) countQueryMessages(key core.QueryKey, n, sizeBytes int) {
 	}
 	sc.met.QueryMessages.Add(int64(n))
 	sc.met.QueryBytes.Add(int64(n) * int64(sizeBytes))
-}
-
-// quorum computes the BF completion threshold: the paper's 80% of the other
-// devices.
-func (sc *scenario) quorum() int {
-	others := len(sc.nodes) - 1
-	if others <= 0 {
-		return 0
-	}
-	return int(math.Ceil(sc.p.BFQuorum * float64(others)))
-}
-
-// processOutcome is the slice of localsky.Result the metrics need.
-type processOutcome struct {
-	reducedLen int
-	unreduced  int
-	filters    int
-	skippedMBR bool
 }
 
 // computeRecall runs the centralized oracle after the simulation: for every

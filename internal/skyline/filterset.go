@@ -18,11 +18,13 @@ import (
 // closed form, so marginal coverage is estimated by Monte Carlo sampling
 // over the bounding box, seeded for determinism.
 
-// FilterVDR computes Π_k (hi_k - p_k), the volume of t's dominating region
-// against upper bounds hi, clamping to zero when t lies above any bound.
-// This mirrors core.VDR so filter selection can run without the device
-// machinery.
-func FilterVDR(t tuple.Tuple, hi []float64) float64 {
+// VDR computes Π_k (hi_k - p_k), the volume of the dominating region of t
+// against upper bounds hi (§3.2). Negative factors (a tuple above the
+// assumed bound, possible under under-estimation) clamp to zero: such a
+// tuple has no credited pruning volume. It is the one VDR formula: the
+// devices' filter scoring (core.VDRFunc) and filter-set selection both use
+// it.
+func VDR(t tuple.Tuple, hi []float64) float64 {
 	v := 1.0
 	for k, p := range t.Attrs {
 		f := hi[k] - p
@@ -80,7 +82,7 @@ func SelectFilterSet(sky []tuple.Tuple, hi []float64, k, samples int, seed int64
 	// (ties keep the earliest tuple, matching core.SelectFilter).
 	firstIdx, bestV := 0, 0.0
 	for i := range sky {
-		if v := FilterVDR(sky[i], hi); i == 0 || v > bestV {
+		if v := VDR(sky[i], hi); i == 0 || v > bestV {
 			firstIdx, bestV = i, v
 		}
 	}

@@ -197,35 +197,16 @@ type Peer struct {
 
 	mu        sync.Mutex
 	neighbors []core.DeviceID
-	pending   map[core.QueryKey]*pendingQuery
-	sfOrig    map[core.QueryKey]*sfOrigQuery
-	sfLocal   map[core.QueryKey]*sfLocalState
-	sfSeen    map[core.QueryKey]bool
-	conns     map[core.DeviceID]*peerConn
-	inbound   map[net.Conn]struct{}
-	closed    bool
+	// fl runs the BF and SF protocol; it is guarded by mu.
+	fl      core.Flood
+	pending map[core.QueryKey]*pendingQuery
+	conns   map[core.DeviceID]*peerConn
+	inbound map[net.Conn]struct{}
+	closed  bool
 
 	met Metrics
 
 	wg sync.WaitGroup
-}
-
-type pendingQuery struct {
-	merged  []tuple.Tuple
-	from    map[core.DeviceID]bool
-	results int
-	want    int
-	done    chan struct{}
-	closed  bool
-	// sent is how many initial flood frames the originator issued; failed
-	// tracks neighbours whose tagged frame dead-lettered (queue overflow,
-	// retry exhaustion, open breaker, or unresolvable peer). When every
-	// flood frame failed and nothing answered, no result can ever arrive:
-	// the query wakes immediately with deadErr instead of idling to its
-	// deadline.
-	sent    int
-	failed  map[core.DeviceID]bool
-	deadErr error
 }
 
 // NewPeer starts a peer listening on 127.0.0.1 (an ephemeral port),
@@ -252,14 +233,16 @@ func NewPeer(id core.DeviceID, ts []tuple.Tuple, schema tuple.Schema,
 		ctx:     ctx,
 		cancel:  cancel,
 		pending: make(map[core.QueryKey]*pendingQuery),
-		sfOrig:  make(map[core.QueryKey]*sfOrigQuery),
-		sfLocal: make(map[core.QueryKey]*sfLocalState),
-		sfSeen:  make(map[core.QueryKey]bool),
 		conns:   make(map[core.DeviceID]*peerConn),
 		inbound: make(map[net.Conn]struct{}),
 		met:     NewMetrics(cfg.Registry),
 	}
 	p.dev.Met = core.NewMetrics(cfg.Registry, mode)
+	// The socket tier runs no protocol re-floods, and a FilterSet frame has
+	// no TTL: the sampling round is one hop.
+	p.fl = core.Flood{Dev: p.dev, Opt: core.FloodOptions{
+		SampleK: cfg.SFSampleK, SampleTTL: 1, FilterK: cfg.SFFilterK,
+	}}
 	if err := p.register(); err != nil {
 		cancel()
 		ln.Close()
@@ -363,10 +346,7 @@ func (p *Peer) Close() {
 	}
 	p.closed = true
 	for _, pq := range p.pending {
-		if !pq.closed {
-			pq.closed = true
-			close(pq.done)
-		}
+		pq.wake()
 	}
 	inbound := make([]net.Conn, 0, len(p.inbound))
 	for c := range p.inbound {
@@ -417,6 +397,9 @@ func (p *Peer) serve(conn net.Conn) {
 	defer conn.Close()
 	p.met.OpenConns.Inc()
 	defer p.met.OpenConns.Dec()
+	// One message buffer and outbox serve every frame of the connection.
+	var m core.Msg
+	ob := &outbox{p: p}
 	for {
 		conn.SetReadDeadline(time.Now().Add(p.cfg.ReadIdleTimeout))
 		msg, ctx, traced, err := wire.ReadFrameCtx(conn)
@@ -439,41 +422,22 @@ func (p *Peer) serve(conn net.Conn) {
 			p.logf("tcp: peer %d: dropping unknown frame from %s: %v", p.dev.ID, conn.RemoteAddr(), err)
 			continue
 		}
-		switch kind {
-		case wire.KindQuery:
-			q, err := wire.DecodeQuery(msg)
-			if err != nil {
-				p.met.DecodeFailures.Inc()
-				p.flightEvent("decode_failure", tc, "bad query frame from %s: %v", conn.RemoteAddr(), err)
-				p.logf("tcp: peer %d: closing %s: bad query frame: %v", p.dev.ID, conn.RemoteAddr(), err)
-				return
-			}
-			p.handleQuery(q, tc)
-		case wire.KindResult:
-			r, err := wire.DecodeResult(msg)
-			if err != nil {
-				p.met.DecodeFailures.Inc()
-				p.flightEvent("decode_failure", tc, "bad result frame from %s: %v", conn.RemoteAddr(), err)
-				p.logf("tcp: peer %d: closing %s: bad result frame: %v", p.dev.ID, conn.RemoteAddr(), err)
-				return
-			}
-			p.handleResult(r, tc)
-		case wire.KindFilterSet:
-			m, err := wire.DecodeFilterSet(msg)
-			if err != nil {
-				p.met.DecodeFailures.Inc()
-				p.flightEvent("decode_failure", tc, "bad filter-set frame from %s: %v", conn.RemoteAddr(), err)
-				p.logf("tcp: peer %d: closing %s: bad filter-set frame: %v", p.dev.ID, conn.RemoteAddr(), err)
-				return
-			}
-			p.handleFilterSet(m, tc)
-		default:
+		m, err = decode(kind, msg, tc)
+		if err != nil {
+			p.met.DecodeFailures.Inc()
+			p.flightEvent("decode_failure", tc, "bad kind-%d frame from %s: %v", kind, conn.RemoteAddr(), err)
+			p.logf("tcp: peer %d: closing %s: bad kind-%d frame: %v", p.dev.ID, conn.RemoteAddr(), kind, err)
+			return
+		}
+		if m.Kind == 0 {
 			// A kind this peer recognizes but has no protocol role for —
 			// e.g. a gateway reject frame reaching a plain peer. Skip it
 			// like an unknown kind: counted, logged, connection kept.
 			p.met.FramesDropped.Inc()
 			p.logf("tcp: peer %d: dropping unhandled frame kind %d from %s", p.dev.ID, kind, conn.RemoteAddr())
+			continue
 		}
+		p.receive(&m, tc, ob)
 	}
 }
 
@@ -482,16 +446,12 @@ func (p *Peer) serve(conn net.Conn) {
 // directory has expired (lease lapsed) is skipped outright — the
 // liveness-aware fan-out that stops traffic to the dead. Enqueued frames
 // survive transient dial/write failures: the link's writer retries under
-// backoff until the frame exceeds RetryTimeout.
-func (p *Peer) send(to core.DeviceID, msg []byte, tc *wire.TraceContext) {
-	p.sendTagged(to, msg, tc, nil)
-}
-
-// sendTagged is send with an optional query-key tag: a tagged frame that
-// can never be delivered (peer unresolvable, queue overflow, retry window
-// exhausted, breaker open) fails that query's quorum slot immediately via
-// failSlot, so the originator learns instead of idling to its deadline.
-func (p *Peer) sendTagged(to core.DeviceID, msg []byte, tc *wire.TraceContext, fk *core.QueryKey) {
+// backoff until the frame exceeds RetryTimeout. A frame tagged with a query
+// key fk that can never be delivered (peer unresolvable, queue overflow,
+// retry window exhausted, breaker open) fails that query's quorum slot
+// immediately via failSlot, so the originator learns instead of idling to
+// its deadline.
+func (p *Peer) send(to core.DeviceID, msg []byte, tc *wire.TraceContext, fk *core.QueryKey) {
 	if _, ok := p.dir.Lookup(to); !ok {
 		p.met.SendsSuppressed.Inc()
 		p.failSlot(fk, to, "peer not in directory")
@@ -537,72 +497,8 @@ func (p *Peer) failSlot(fk *core.QueryKey, to core.DeviceID, cause string) {
 	if pq.deadErr == nil {
 		pq.deadErr = fmt.Errorf("%w (first: peer %d, %s)", ErrUnreachable, to, cause)
 	}
-	if pq.sent > 0 && len(pq.failed) >= pq.sent && pq.results == 0 {
-		pq.closed = true
-		close(pq.done)
-	}
-}
-
-// handleQuery runs the remote side of the flood: process once, return the
-// reduced skyline to the originator, keep flooding with the possibly
-// upgraded filter. tc is the inbound frame's trace context (nil when
-// untraced); replies reuse its hop number, forwards increment it.
-func (p *Peer) handleQuery(q core.Query, tc *wire.TraceContext) {
-	if !p.dev.FirstTime(q.Key()) {
-		return
-	}
-	hop := uint8(1)
-	if tc != nil {
-		hop = tc.Hop
-		p.traceStage(tc, telemetry.StageHandle, core.DeviceID(tc.Parent), 0)
-	}
-	res := p.dev.Process(q)
-	reply := wire.EncodeResult(wire.Result{
-		Key: q.Key(), From: p.dev.ID, Tuples: res.Skyline,
-	})
-	rtc := p.traceCtx(q.Key(), hop)
-	p.traceStage(rtc, telemetry.StageReply, q.Org, wire.FrameWireSize(len(reply), rtc != nil))
-	p.send(q.Org, reply, rtc)
-	fwd := wire.EncodeQuery(core.Forwardable(q, res))
-	ftc := p.traceCtx(q.Key(), hop+1)
-	p.mu.Lock()
-	neighbors := append([]core.DeviceID(nil), p.neighbors...)
-	p.mu.Unlock()
-	for _, nb := range neighbors {
-		if nb != q.Org {
-			p.send(nb, fwd, ftc)
-		}
-	}
-}
-
-// handleResult merges one device's reply at the originator. Results are
-// deduplicated by sender: a retried or chaos-duplicated frame must not
-// count twice toward the quorum (it would complete a query early with
-// devices missing).
-func (p *Peer) handleResult(r wire.Result, tc *wire.TraceContext) {
-	if tc != nil {
-		p.traceStage(tc, telemetry.StageResult, core.DeviceID(r.From), 0)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pq := p.pending[r.Key]
-	if pq == nil {
-		return
-	}
-	if pq.from[r.From] {
-		p.met.DupResults.Inc()
-		return
-	}
-	// A peer whose direct flood frame dead-lettered can still answer — the
-	// flood reaches it through other neighbours. Un-fail its slot so the
-	// unreachability accounting stays honest.
-	delete(pq.failed, r.From)
-	pq.from[r.From] = true
-	pq.merged = core.Merge(pq.merged, r.Tuples)
-	pq.results++
-	if !pq.closed && pq.results >= pq.want {
-		pq.closed = true
-		close(pq.done)
+	if p.unreachable(*fk, pq) {
+		pq.wake()
 	}
 }
 
@@ -616,88 +512,3 @@ type QueryResult struct {
 
 // ErrClosed is returned when querying a closed peer.
 var ErrClosed = errors.New("tcp: peer closed")
-
-// Query originates a distributed constrained skyline query at this peer,
-// floods it over the neighbour links, and blocks until the quorum of other
-// peers responded or the timeout elapsed. totalPeers is the network size
-// the quorum is computed against. Closing the peer releases a blocked
-// Query immediately with the results merged so far.
-func (p *Peer) Query(d float64, totalPeers int) (QueryResult, error) {
-	start := time.Now()
-	q, res := p.dev.Originate(p.pos, d)
-	if p.cfg.Spans != nil {
-		p.cfg.Spans.Begin(spanKey(q.Key()), nowSecs())
-	}
-	want := int(float64(totalPeers-1)*p.cfg.Quorum + 0.999999)
-	if want < 0 {
-		want = 0
-	}
-	pq := &pendingQuery{
-		merged: res.Skyline,
-		from:   make(map[core.DeviceID]bool),
-		failed: make(map[core.DeviceID]bool),
-		want:   want,
-		done:   make(chan struct{}),
-	}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return QueryResult{}, ErrClosed
-	}
-	p.pending[q.Key()] = pq
-	neighbors := append([]core.DeviceID(nil), p.neighbors...)
-	p.mu.Unlock()
-
-	complete := want == 0
-	if !complete {
-		key := q.Key()
-		enc := wire.EncodeQuery(q)
-		qtc := p.traceCtx(key, 1)
-		for _, nb := range neighbors {
-			p.sendTagged(nb, enc, qtc, &key)
-		}
-		// Arm the unreachability check only after every flood frame is
-		// tagged out, so a fast failSlot during the loop cannot fire early.
-		p.mu.Lock()
-		pq.sent = len(neighbors)
-		if !pq.closed && pq.sent > 0 && len(pq.failed) >= pq.sent && pq.results == 0 {
-			pq.closed = true
-			close(pq.done)
-		}
-		p.mu.Unlock()
-		timer := time.NewTimer(p.cfg.QueryTimeout)
-		defer timer.Stop()
-		select {
-		case <-pq.done:
-		case <-timer.C:
-		}
-	}
-
-	p.mu.Lock()
-	complete = complete || pq.results >= pq.want
-	var qerr error
-	if !complete && pq.results == 0 && pq.deadErr != nil &&
-		pq.sent > 0 && len(pq.failed) >= pq.sent {
-		qerr = pq.deadErr
-	}
-	out := QueryResult{
-		Skyline:  append([]tuple.Tuple(nil), pq.merged...),
-		Results:  pq.results,
-		Complete: complete,
-		Elapsed:  time.Since(start),
-	}
-	delete(p.pending, q.Key())
-	p.mu.Unlock()
-	p.met.QueriesIssued.Inc()
-	p.met.QueryLatency.Observe(out.Elapsed.Seconds())
-	if complete {
-		p.met.QueriesCompleted.Inc()
-	}
-	if p.cfg.Spans != nil {
-		if !complete {
-			p.cfg.Spans.MarkPartial(spanKey(q.Key()))
-		}
-		p.cfg.Spans.Complete(spanKey(q.Key()), nowSecs(), len(out.Skyline))
-	}
-	return out, qerr
-}

@@ -327,18 +327,24 @@ func TestRuntimeMetricsAndOnCollect(t *testing.T) {
 // trace JSONL, flight JSONL) runs concurrently — the race-detector gate for
 // the scrape-while-hot contract.
 func TestConcurrentObserveVsExposition(t *testing.T) {
+	// Each writer stops after a fixed number of observations: the span log
+	// keeps every stage, so an unbounded writer grows it for as long as the
+	// expositions take. The start barrier makes every exposition run while
+	// all writers are hot.
+	const writers, iters = 4, 2000
 	r := NewRegistry()
 	h := r.Histogram("cx_seconds", "h", LatencyBuckets())
 	c := r.Counter("cx_bytes_sent_total", "h")
 	l := NewSpanLog()
 	f := NewFlightRecorder(32)
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	var started, wg sync.WaitGroup
+	started.Add(writers)
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
+			for i := 0; i < iters; i++ {
 				select {
 				case <-stop:
 					return
@@ -349,9 +355,13 @@ func TestConcurrentObserveVsExposition(t *testing.T) {
 				h.Observe(0.001 * float64(i%100))
 				c.Add(10)
 				f.Record(FlightEvent{Kind: "reconnect", Peer: int32(w)})
+				if i == 0 {
+					started.Done()
+				}
 			}
 		}(w)
 	}
+	started.Wait()
 	for i := 0; i < 50; i++ {
 		var sb strings.Builder
 		if err := r.WritePrometheus(&sb); err != nil {
