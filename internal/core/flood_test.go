@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"manetskyline/internal/gen"
@@ -12,9 +14,11 @@ import (
 )
 
 // chanNet is an in-test synchronous channel for the flood machine: a static
-// 3×3 grid with 4-neighbour links, one queue of pending steps (frame
+// g×g grid with 4-neighbour links, one queue of pending steps (frame
 // deliveries and processing completions), and a policy choosing which step
-// runs next. A timer fires only when the queue is empty.
+// runs next. A timer fires only when the queue is empty. Frames overtake
+// each other freely, or, with linkFIFO, only across links: DF needs a
+// child's ack to reach its parent before the child's subtree result does.
 type chanNet struct {
 	t     *testing.T
 	g     int
@@ -22,9 +26,12 @@ type chanNet struct {
 	queue []step
 	pick  func(n int) int // index of the next step among n pending
 	dup   bool            // enqueue every frame twice
-	armed []armed
-	// quorum is the originators' completion threshold.
+	// linkFIFO delivers the frames of one (from, to) link in send order.
+	linkFIFO bool
+	armed    []armed
+	// quorum is the BF and SF originators' completion threshold.
 	quorum int
+	strat  Strategy
 
 	processed map[QueryKey][]int // Process requests per device
 	counted   map[QueryKey]map[DeviceID]bool
@@ -36,6 +43,7 @@ type chanNet struct {
 // step is a frame to deliver to device to, or (done) the completion of
 // to's processing of m.
 type step struct {
+	from DeviceID
 	to   DeviceID
 	m    Msg
 	done bool
@@ -45,6 +53,8 @@ type step struct {
 type armed struct {
 	key QueryKey
 	t   Timer
+	n   int
+	at  DeviceID
 }
 
 func newChanNet(t *testing.T, devs []*Device, g int, opt FloodOptions) *chanNet {
@@ -65,11 +75,27 @@ func newChanNet(t *testing.T, devs []*Device, g int, opt FloodOptions) *chanNet 
 // io is device id's FloodIO.
 func (n *chanNet) io(id DeviceID) FloodIO { return chanIO{n, id} }
 
-func (n *chanNet) push(to DeviceID, m Msg) {
-	n.queue = append(n.queue, step{to: to, m: m})
+func (n *chanNet) push(from, to DeviceID, m Msg) {
+	n.queue = append(n.queue, step{from: from, to: to, m: m})
 	if n.dup {
-		n.queue = append(n.queue, step{to: to, m: m})
+		n.queue = append(n.queue, step{from: from, to: to, m: m})
 	}
+}
+
+// next picks the index of the step to run among those eligible.
+func (n *chanNet) next() int {
+	if !n.linkFIFO {
+		return n.pick(len(n.queue))
+	}
+	var eligible []int
+	for i, s := range n.queue {
+		if s.done || !slices.ContainsFunc(n.queue[:i], func(e step) bool {
+			return !e.done && e.from == s.from && e.to == s.to
+		}) {
+			eligible = append(eligible, i)
+		}
+	}
+	return eligible[n.pick(len(eligible))]
 }
 
 // run drains the queue, firing armed timers whenever it runs dry.
@@ -78,10 +104,10 @@ func (n *chanNet) run() {
 		if len(n.queue) == 0 {
 			a := n.armed[0]
 			n.armed = n.armed[1:]
-			n.fls[a.key.Org].Fire(a.key, a.t, n.io(a.key.Org))
+			n.fls[a.at].Fire(a.key, a.t, a.n, n.io(a.at))
 			continue
 		}
-		i := n.pick(len(n.queue))
+		i := n.next()
 		s := n.queue[i]
 		n.queue = append(n.queue[:i], n.queue[i+1:]...)
 		if s.done {
@@ -122,44 +148,70 @@ func (c chanIO) Process(m *Msg) {
 	c.n.queue = append(c.n.queue, step{to: c.id, m: *m, done: true, res: res})
 }
 
-func (c chanIO) Send(m Msg) {
+func (c chanIO) Send(to DeviceID, m Msg) {
 	if m.Kind == MsgSurvivors {
 		c.n.survivors[c.id]++
 	}
-	c.n.push(m.Q.Org, m)
+	c.n.push(c.id, to, m)
 }
 
 func (c chanIO) Flood(m Msg) {
-	r, col := int(c.id)/c.n.g, int(c.id)%c.n.g
-	for _, d := range gridNeighbors {
-		nr, nc := r+d[0], col+d[1]
-		if nr >= 0 && nr < c.n.g && nc >= 0 && nc < c.n.g {
-			c.n.push(DeviceID(nr*c.n.g+nc), m)
-		}
+	for _, nb := range c.n.neighbors(c.id) {
+		c.n.push(c.id, nb, m)
 	}
 }
 
-func (c chanIO) Arm(key QueryKey, t Timer, _ int) {
-	c.n.armed = append(c.n.armed, armed{key, t})
+// neighbors lists id's grid neighbours.
+func (n *chanNet) neighbors(id DeviceID) []DeviceID {
+	var out []DeviceID
+	r, col := int(id)/n.g, int(id)%n.g
+	for _, d := range gridNeighbors {
+		nr, nc := r+d[0], col+d[1]
+		if nr >= 0 && nr < n.g && nc >= 0 && nc < n.g {
+			out = append(out, DeviceID(nr*n.g+nc))
+		}
+	}
+	return out
 }
+
+func (c chanIO) Arm(key QueryKey, t Timer, n int) {
+	c.n.armed = append(c.n.armed, armed{key, t, n, c.id})
+}
+
+// Next returns the smallest-ID grid neighbour not in tried.
+func (c chanIO) Next(tried []DeviceID) DeviceID {
+	next := DeviceID(-1)
+	for _, nb := range c.n.neighbors(c.id) {
+		if _, in := slices.BinarySearch(tried, nb); !in && (next < 0 || nb < next) {
+			next = nb
+		}
+	}
+	return next
+}
+
+func (c chanIO) Reissued(QueryKey, int) {}
 
 func (c chanIO) Merged(*Msg, []tuple.Tuple) {}
 
 func (c chanIO) Complete(key QueryKey, merged []tuple.Tuple) {
 	c.n.completes++
 	c.n.completed[key] = merged
-	// Completion needs quorum distinct senders, whatever was duplicated.
-	if got, want := len(c.n.counted[key]), c.n.quorum; got < want {
+	// BF and SF completion needs quorum distinct senders, whatever was
+	// duplicated.
+	if got, want := len(c.n.counted[key]), c.n.quorum; c.n.strat != DepthFirst && got < want {
 		c.n.t.Errorf("query %v completed with %d distinct senders, quorum %d", key, got, want)
 	}
 }
 
-// TestFloodMachineOverChannel drives BF and SF through the machine on a
-// static 3×3 grid, with no simulator and no sockets, under FIFO, reversed
+// TestFloodMachineOverChannel drives BF, SF and DF through the machine on
+// a static 3×3 grid, with no simulator and no sockets, under FIFO, reversed
 // and shuffled delivery, each as is and with every frame duplicated. Every
-// device originates once in turn.
+// device originates once in turn. DF runs over per-link FIFO links, and
+// its result is exact only without duplicates: an ack does not name the
+// hand-off it answers, so a duplicated refusal can turn down the next
+// hand-off too, and two walks then leave one parent, which reports before
+// the second returns.
 func TestFloodMachineOverChannel(t *testing.T) {
-	const g, dist = 3, 450
 	orders := []struct {
 		name string
 		pick func(r *rand.Rand) func(int) int
@@ -168,51 +220,106 @@ func TestFloodMachineOverChannel(t *testing.T) {
 		{"reversed", func(*rand.Rand) func(int) int { return func(n int) int { return n - 1 } }},
 		{"shuffle", func(r *rand.Rand) func(int) int { return r.Intn }},
 	}
-	for _, sf := range []bool{false, true} {
+	for _, strat := range []Strategy{BreadthFirst, SamplingFilter, DepthFirst} {
 		for _, o := range orders {
 			for _, dup := range []bool{false, true} {
-				name := fmt.Sprintf("bf/%s/dup=%v", o.name, dup)
-				if sf {
-					name = fmt.Sprintf("sf/%s/dup=%v", o.name, dup)
-				}
-				t.Run(name, func(t *testing.T) {
-					devs := staticDevices(t, 3000, 2, g, gen.Independent, Under, true, 5)
-					var all []tuple.Tuple
-					for _, d := range devs {
-						for i := 0; i < d.Rel.Len(); i++ {
-							all = append(all, d.Rel.Tuple(i))
-						}
-					}
-					n := newChanNet(t, devs, g, FloodOptions{SampleK: 2, SampleTTL: 1, FilterK: 2})
+				t.Run(fmt.Sprintf("%s/%s/dup=%v", strings.ToLower(strat.String()), o.name, dup), func(t *testing.T) {
+					n, all := newGridNet(t, strat)
 					n.pick = o.pick(rand.New(rand.NewSource(11)))
 					n.dup = dup
-					for org, d := range devs {
-						pos := d.Rel.MBR().Center()
-						q, res := d.Originate(pos, dist)
-						n.fls[org].Originate(q, res.Skyline, n.quorum, sf, n.io(DeviceID(org)))
-						n.run()
-
-						key := q.Key()
-						want := skyline.Constrained(all, pos, dist)
-						if got := n.completed[key]; !skyline.SetEqual(got, want) {
-							t.Errorf("org %d: %d tuples, want %d", org, len(got), len(want))
-						}
-						for id, c := range n.processed[key] {
-							if id != org && c != 1 {
-								t.Errorf("org %d: device %d processed the query %d times", org, id, c)
-							}
-						}
-						if _, _, complete := n.fls[org].Outcome(key); !complete {
-							t.Errorf("org %d: query not complete", org)
-						}
+					n.linkFIFO = strat == DepthFirst
+					for org := range n.fls {
+						n.originate(DeviceID(org), all)
 					}
-					if n.completes != len(devs) {
-						t.Errorf("%d completions for %d queries", n.completes, len(devs))
+					if n.completes != len(n.fls) {
+						t.Errorf("%d completions for %d queries", n.completes, len(n.fls))
 					}
 				})
 			}
 		}
 	}
+}
+
+// newGridNet builds the 3×3 channel for strat over one dataset, and returns
+// every device's tuples with it: the oracle's input.
+func newGridNet(t *testing.T, strat Strategy) (*chanNet, []tuple.Tuple) {
+	const g = 3
+	devs := staticDevices(t, 3000, 2, g, gen.Independent, Under, true, 5)
+	var all []tuple.Tuple
+	for _, d := range devs {
+		for i := 0; i < d.Rel.Len(); i++ {
+			all = append(all, d.Rel.Tuple(i))
+		}
+	}
+	n := newChanNet(t, devs, g, FloodOptions{SampleK: 2, SampleTTL: 1, FilterK: 2})
+	n.strat = strat
+	return n, all
+}
+
+// originate runs one query from org to the end and checks it: the result
+// is the constrained skyline over every device (under DF with duplicates,
+// the skyline of some of the tuples in range), every other device
+// processed the query exactly once, and no relay still holds walk state.
+func (n *chanNet) originate(org DeviceID, all []tuple.Tuple) {
+	const dist = 450
+	t := n.t
+	d := n.fls[org].Dev
+	pos := d.Rel.MBR().Center()
+	q, res := d.Originate(pos, dist)
+	n.fls[org].Originate(q, res.Skyline, n.quorum, n.strat, n.io(org))
+	n.run()
+
+	key := q.Key()
+	got, want := n.completed[key], skyline.Constrained(all, pos, dist)
+	if n.strat == DepthFirst && n.dup {
+		for _, u := range got {
+			if u.Pos().Dist(pos) > dist || !skyline.Contains(all, u) {
+				t.Errorf("org %d: result tuple %v is no tuple in range", org, u)
+			}
+		}
+		if !skyline.SetEqual(skyline.BNL(got), got) {
+			t.Errorf("org %d: result is not a skyline", org)
+		}
+	} else if !skyline.SetEqual(got, want) {
+		t.Errorf("org %d: %d tuples, want %d", org, len(got), len(want))
+	}
+	for id, c := range n.processed[key] {
+		if DeviceID(id) != org && c != 1 {
+			t.Errorf("org %d: device %d processed the query %d times", org, id, c)
+		}
+	}
+	if n.strat != DepthFirst {
+		if _, _, complete := n.fls[org].Outcome(key); !complete {
+			t.Errorf("org %d: query not complete", org)
+		}
+	}
+	for id, fl := range n.fls {
+		if len(fl.walks) != 0 {
+			t.Errorf("org %d: device %d holds %d relay walks after the walk ended", org, id, len(fl.walks))
+		}
+	}
+}
+
+// FuzzFloodOrder fuzzes the delivery schedule: for each input it runs one
+// BF, one SF and one DF query over the 3×3 channel from an originator the
+// seed picks, delivering pending steps in the order a shuffle seeded by it
+// picks, and checks each result against the constrained-skyline oracle.
+// DF's links stay FIFO.
+func FuzzFloodOrder(f *testing.F) {
+	for _, seed := range []int64{0, 11, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		for _, strat := range []Strategy{BreadthFirst, SamplingFilter, DepthFirst} {
+			n, all := newGridNet(t, strat)
+			n.pick = rand.New(rand.NewSource(seed)).Intn
+			n.linkFIFO = strat == DepthFirst
+			n.originate(DeviceID(uint64(seed)%uint64(len(n.fls))), all)
+			if n.completes != 1 {
+				t.Errorf("%v: %d completions for one query", strat, n.completes)
+			}
+		}
+	})
 }
 
 // TestFloodMachineQuorumCountsDistinctSenders replays one device's result
@@ -223,7 +330,7 @@ func TestFloodMachineQuorumCountsDistinctSenders(t *testing.T) {
 	n.quorum = 2
 	fl := n.fls[0]
 	q, res := devs[0].Originate(devs[0].Rel.MBR().Center(), Unconstrained())
-	fl.Originate(q, res.Skyline, n.quorum, false, n.io(0))
+	fl.Originate(q, res.Skyline, n.quorum, BreadthFirst, n.io(0))
 	n.queue = nil // the test delivers by hand
 	reply := Msg{Kind: MsgResult, Q: keyQuery(q.Key()), From: 4}
 	for i := 0; i < 3; i++ {
@@ -250,7 +357,7 @@ func TestFloodMachineFilterDuringPendingProcessing(t *testing.T) {
 	n := newChanNet(t, devs, 3, FloodOptions{SampleK: 2, SampleTTL: 1, FilterK: 2})
 	n.pick = func(int) int { return 0 }
 	q, res := devs[0].Originate(devs[0].Rel.MBR().Center(), Unconstrained())
-	n.fls[0].Originate(q, res.Skyline, n.quorum, true, n.io(0))
+	n.fls[0].Originate(q, res.Skyline, n.quorum, SamplingFilter, n.io(0))
 	bare := q.WithFilter(nil, 0)
 	bare.Extra = nil
 	filters := QuantizeFilters(res.Skyline[:1], devs[0].Schema)
@@ -286,7 +393,9 @@ func TestFloodMachineFilterDuringPendingProcessing(t *testing.T) {
 type nopIO struct{}
 
 func (nopIO) Process(*Msg)                     {}
-func (nopIO) Send(Msg)                         {}
+func (nopIO) Send(DeviceID, Msg)               {}
+func (nopIO) Next([]DeviceID) DeviceID         { return -1 }
+func (nopIO) Reissued(QueryKey, int)           {}
 func (nopIO) Flood(Msg)                        {}
 func (nopIO) Arm(QueryKey, Timer, int)         {}
 func (nopIO) Merged(*Msg, []tuple.Tuple)       {}

@@ -147,12 +147,6 @@ func PeerBackend(p *tcp.Peer, peers func() int, fallback int) Backend {
 	}
 }
 
-// DirectoryPeers counts live in-process directory entries — the peers()
-// source for a gateway colocated with a tcp.Directory.
-func DirectoryPeers(dir *tcp.Directory) func() int {
-	return func() int { return len(dir.Snapshot()) }
-}
-
 // Config tunes a Gateway.
 type Config struct {
 	// Rate is the sustained query rate admitted into the MANET, in queries

@@ -1,9 +1,6 @@
 package manet
 
-import (
-	"manetskyline/internal/core"
-	"manetskyline/internal/tuple"
-)
+import "manetskyline/internal/core"
 
 // tupleBytes is the wire size of one tuple: two float64 coordinates plus
 // one float64 per attribute (the paper's devices would ship narrower types;
@@ -23,10 +20,10 @@ func querySize(q core.Query) int {
 	return s
 }
 
-// floodMsg carries one BF or SF message (core.Msg) over the radio.
+// floodMsg carries one protocol message (core.Msg) over the radio.
 // SizeBytes is the paper's byte accounting; the bookkeeping fields (Hops,
-// Attempt, Acc) are not payload and never sized, so airtime, timing and
-// goldens are unchanged by instrumentation.
+// Acc) are not payload and never sized, so airtime, timing and goldens are
+// unchanged by instrumentation.
 type floodMsg struct {
 	core.Msg
 }
@@ -37,9 +34,16 @@ func (m *floodMsg) SizeBytes() int {
 		dim = m.Tuples[0].Dim()
 	}
 	switch m.Kind {
-	case core.MsgQuery:
-		// The flood carries the query with its filter and VDR score.
+	case core.MsgQuery, core.MsgHandoff:
+		// The flood or hand-off carries the query with its filter and VDR
+		// score.
 		return querySize(m.Q)
+	case core.MsgAck:
+		return 8
+	case core.MsgSubtree:
+		// Key and tuples, plus the subtree's adopted filter and its VDR
+		// score when it has one.
+		return querySize(m.Q) + len(m.Tuples)*tupleBytes(dim)
 	case core.MsgSampleReq:
 		// The sampling round's bare query plus sample budget and TTL.
 		return querySize(m.Q) + 3
@@ -53,59 +57,5 @@ func (m *floodMsg) SizeBytes() int {
 	default:
 		// Results, samples and survivors: key, sender and tuples.
 		return 16 + len(m.Tuples)*tupleBytes(dim)
-	}
-}
-
-// dfQueryMsg hands the query to one neighbour under depth-first forwarding.
-type dfQueryMsg struct {
-	Q core.Query
-}
-
-func (m *dfQueryMsg) SizeBytes() int { return querySize(m.Q) }
-
-// dfAckMsg acknowledges a depth-first hand-off: Accept=false means the
-// neighbour already processed this query ("try someone else").
-type dfAckMsg struct {
-	Key    core.QueryKey
-	Accept bool
-}
-
-func (m *dfAckMsg) SizeBytes() int { return 8 }
-
-// dfResultMsg returns a completed subtree's merged result (and the best
-// filter it discovered) to the depth-first parent.
-type dfResultMsg struct {
-	Key       core.QueryKey
-	Tuples    []tuple.Tuple
-	Filter    *tuple.Tuple
-	FilterVDR float64
-}
-
-func (m *dfResultMsg) SizeBytes() int {
-	dim := 0
-	if len(m.Tuples) > 0 {
-		dim = m.Tuples[0].Dim()
-	}
-	s := 24 + len(m.Tuples)*tupleBytes(dim)
-	if m.Filter != nil {
-		s += tupleBytes(m.Filter.Dim()) + 8
-	}
-	return s
-}
-
-// queryKeyOf extracts the query key from any manet protocol payload, for
-// per-query message attribution; ok is false for non-manet payloads.
-func queryKeyOf(p any) (core.QueryKey, bool) {
-	switch m := p.(type) {
-	case *floodMsg:
-		return m.Key(), true
-	case *dfQueryMsg:
-		return m.Q.Key(), true
-	case *dfAckMsg:
-		return m.Key, true
-	case *dfResultMsg:
-		return m.Key, true
-	default:
-		return core.QueryKey{}, false
 	}
 }

@@ -21,44 +21,16 @@ import (
 	"manetskyline/internal/telemetry"
 )
 
-// Forwarding selects the query dissemination strategy of §5.2.1.
-type Forwarding int
+// Forwarding selects the query dissemination strategy of §5.2.1: BF, DF or
+// SF, as core.Strategy defines them.
+type Forwarding = core.Strategy
 
+// The strategies, under the names the simulator's callers use.
 const (
-	// BreadthFirst floods the query: the originator broadcasts to its
-	// neighbours; every device processes, unicasts its result back to the
-	// originator (multi-hop via AODV), and rebroadcasts.
-	BreadthFirst Forwarding = iota
-	// DepthFirst serializes the query: each device forwards to one
-	// neighbour at a time; results merge along the reverse path.
-	DepthFirst
-	// SamplingFilter is the sampling-based multi-round strategy beyond the
-	// paper (Zhang & Zhang, arXiv:1611.00423): the originator floods a
-	// sample request, every device returns a small seeded sample of its
-	// constrained local skyline, the originator selects a k-tuple filter
-	// set by greedy dominating-region coverage and floods it, and devices
-	// return only the tuples that survive the filter set (minus what they
-	// already sampled). Fault-free, the merged result is the exact
-	// constrained skyline; the collect phase ships far fewer tuples than a
-	// BF flood.
-	SamplingFilter
+	BreadthFirst   = core.BreadthFirst
+	DepthFirst     = core.DepthFirst
+	SamplingFilter = core.SamplingFilter
 )
-
-// String names the strategy the way the paper's figures do ("SF" follows
-// the sampling-filter literature; the paper's figures use SF for "static
-// filter", which this codebase calls dynamic=false).
-func (f Forwarding) String() string {
-	switch f {
-	case BreadthFirst:
-		return "BF"
-	case DepthFirst:
-		return "DF"
-	case SamplingFilter:
-		return "SF"
-	default:
-		return fmt.Sprintf("Forwarding(%d)", int(f))
-	}
-}
 
 // Params configures one simulated scenario.
 type Params struct {

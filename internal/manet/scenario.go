@@ -183,6 +183,8 @@ type scenario struct {
 
 	met   simMetrics
 	spans *telemetry.SpanLog
+	// except is Next's reusable copy of a walk's tried list.
+	except []radio.NodeID
 }
 
 // spanKey converts a query key to the telemetry span key.
@@ -271,16 +273,15 @@ func build(p Params) *scenario {
 	// implementation's DF failure handling does not (the paper's protocol
 	// has no acks).
 	net.ForwardHook = func(payload radio.Payload) {
-		if _, isAck := payload.(*dfAckMsg); isAck {
+		fm, ok := payload.(*floodMsg)
+		if !ok || fm.Kind == core.MsgAck {
 			return
 		}
-		if k, ok := queryKeyOf(payload); ok {
-			if m := sc.metrics[k]; m != nil {
-				m.Messages++
-			}
-			sc.met.QueryMessages.Inc()
-			sc.met.QueryBytes.Add(int64(payload.SizeBytes()))
+		if m := sc.metrics[fm.Key()]; m != nil {
+			m.Messages++
 		}
+		sc.met.QueryMessages.Inc()
+		sc.met.QueryBytes.Add(int64(fm.SizeBytes()))
 	}
 
 	// Dataset and partitioning.

@@ -65,7 +65,7 @@ func (p *Peer) unreachable(key core.QueryKey, pq *pendingQuery) bool {
 // the quorum is computed against. Closing the peer releases a blocked
 // Query immediately with the results merged so far.
 func (p *Peer) Query(d float64, totalPeers int) (QueryResult, error) {
-	return p.query(d, totalPeers, false)
+	return p.query(d, totalPeers, core.BreadthFirst)
 }
 
 // QuerySF originates a distributed constrained skyline query under the SF
@@ -75,10 +75,10 @@ func (p *Peer) Query(d float64, totalPeers int) (QueryResult, error) {
 // wire the flood carries k quantized filters instead of each hop's best
 // filter, and the replies shrink to survivor sets.
 func (p *Peer) QuerySF(d float64, totalPeers int) (QueryResult, error) {
-	return p.query(d, totalPeers, true)
+	return p.query(d, totalPeers, core.SamplingFilter)
 }
 
-func (p *Peer) query(d float64, totalPeers int, sf bool) (QueryResult, error) {
+func (p *Peer) query(d float64, totalPeers int, s core.Strategy) (QueryResult, error) {
 	start := time.Now()
 	q, res := p.dev.Originate(p.pos, d)
 	key := q.Key()
@@ -93,7 +93,7 @@ func (p *Peer) query(d float64, totalPeers int, sf bool) (QueryResult, error) {
 		return QueryResult{}, ErrClosed
 	}
 	p.pending[key] = pq
-	p.fl.Originate(q, res.Skyline, core.Quorum(p.cfg.Quorum, totalPeers), sf, ob)
+	p.fl.Originate(q, res.Skyline, core.Quorum(p.cfg.Quorum, totalPeers), s, ob)
 	p.mu.Unlock()
 	sent := p.act(ob)
 	// Arm the unreachability check only after every flood frame is tagged
@@ -227,10 +227,10 @@ func (p *Peer) receive(m *core.Msg, tc *wire.TraceContext, ob *outbox) {
 }
 
 // fire hands a timer expiry to the machine.
-func (p *Peer) fire(key core.QueryKey, t core.Timer) {
+func (p *Peer) fire(key core.QueryKey, t core.Timer, n int) {
 	ob := &outbox{p: p}
 	p.mu.Lock()
-	p.fl.Fire(key, t, ob)
+	p.fl.Fire(key, t, n, ob)
 	p.mu.Unlock()
 	p.act(ob)
 }
@@ -246,22 +246,28 @@ type outbox struct {
 	procs  []core.Msg
 }
 
-// frame is one queued protocol message: a reply to the originator, or a
+// frame is one queued protocol message: a reply to the originator to, or a
 // flood to every neighbour but the originator.
 type frame struct {
 	flood bool
+	to    core.DeviceID
 	m     core.Msg
 }
 
-func (o *outbox) Process(m *core.Msg) { o.procs = append(o.procs, *m) }
-func (o *outbox) Send(m core.Msg)     { o.frames = append(o.frames, frame{m: m}) }
-func (o *outbox) Flood(m core.Msg)    { o.frames = append(o.frames, frame{flood: true, m: m}) }
+func (o *outbox) Process(m *core.Msg)               { o.procs = append(o.procs, *m) }
+func (o *outbox) Send(to core.DeviceID, m core.Msg) { o.frames = append(o.frames, frame{to: to, m: m}) }
+func (o *outbox) Flood(m core.Msg)                  { o.frames = append(o.frames, frame{flood: true, m: m}) }
+
+// Next and Reissued are never called: the socket tier runs neither DF nor
+// re-floods.
+func (o *outbox) Next([]core.DeviceID) core.DeviceID { return -1 }
+func (o *outbox) Reissued(core.QueryKey, int)        {}
 
 // Arm starts a machine timer. The socket tier runs no re-floods, so the
 // only timer is SF's sample wait.
-func (o *outbox) Arm(key core.QueryKey, t core.Timer, _ int) {
+func (o *outbox) Arm(key core.QueryKey, t core.Timer, n int) {
 	if pq := o.p.pending[key]; pq != nil {
-		pq.timers = append(pq.timers, time.AfterFunc(o.p.cfg.SFSampleWait, func() { o.p.fire(key, t) }))
+		pq.timers = append(pq.timers, time.AfterFunc(o.p.cfg.SFSampleWait, func() { o.p.fire(key, t, n) }))
 	}
 }
 
@@ -317,8 +323,8 @@ func (p *Peer) emit(f *frame) (tagged int) {
 	msg := encode(m)
 	tc := p.traceCtx(key, uint8(m.Hops))
 	if !f.flood {
-		p.traceStage(tc, telemetry.StageReply, key.Org, wire.FrameWireSize(len(msg), tc != nil))
-		p.send(key.Org, msg, tc, nil)
+		p.traceStage(tc, telemetry.StageReply, f.to, wire.FrameWireSize(len(msg), tc != nil))
+		p.send(f.to, msg, tc, nil)
 		return 0
 	}
 	if m.Kind == core.MsgFilters && m.Hops == 1 && p.cfg.Spans != nil {
