@@ -90,7 +90,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 		t.Fatalf("missing golden (run with -update to create): %v", err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("spans diverged from golden %s\n(re-run with -update if the change is intended)\ngot %d bytes, want %d",
+		t.Fatalf("output diverged from golden %s\n(re-run with -update if the change is intended)\ngot %d bytes, want %d",
 			path, len(got), len(want))
 	}
 }
