@@ -80,6 +80,18 @@ type Counters struct {
 	DataForwarded int // hop-level data transmissions
 	DataDelivered int // end-to-end deliveries
 	DataDropped   int // gave up (no route after retries, TTL, or break)
+	// RouteDiscoveries counts discovery rounds started (first attempts and
+	// retries alike).
+	RouteDiscoveries int
+	// RouteFailures counts link breaks detected while forwarding data (each
+	// triggers invalidation and local repair).
+	RouteFailures int
+}
+
+// ControlBytes is the on-air size of the control transmissions counted in
+// c, at the RFC 3561 header sizes of RREQ, RREP and RERR.
+func (c Counters) ControlBytes() int {
+	return c.RREQSent*rreqBytes + c.RREPSent*rrepBytes + c.RERRSent*rerrBytes
 }
 
 // Network is a set of AODV nodes sharing one radio medium.
@@ -91,9 +103,6 @@ type Network struct {
 
 	// Counters is exported for metric collection.
 	Counters Counters
-
-	// met is the optional telemetry surface (zero value = disabled).
-	met Metrics
 
 	// ForwardHook, when set, is called with the application payload for
 	// every hop-level data transmission; the manet layer uses it to
@@ -164,6 +173,13 @@ func (n *Network) HasRoute(src, dst radio.NodeID) bool {
 
 // --- wire format -----------------------------------------------------------
 
+// Control packet sizes on air (RFC 3561 message formats).
+const (
+	rreqBytes = 24
+	rrepBytes = 20
+	rerrBytes = 12
+)
+
 type rreqPkt struct {
 	Orig    radio.NodeID
 	OrigSeq uint32
@@ -173,7 +189,7 @@ type rreqPkt struct {
 	Hops    int
 }
 
-func (*rreqPkt) SizeBytes() int { return 24 }
+func (*rreqPkt) SizeBytes() int { return rreqBytes }
 
 type rrepPkt struct {
 	Orig   radio.NodeID // the requester the reply travels to
@@ -182,14 +198,14 @@ type rrepPkt struct {
 	Hops   int
 }
 
-func (*rrepPkt) SizeBytes() int { return 20 }
+func (*rrepPkt) SizeBytes() int { return rrepBytes }
 
 type rerrPkt struct {
 	Dst    radio.NodeID // unreachable destination
 	DstSeq uint32
 }
 
-func (*rerrPkt) SizeBytes() int { return 12 }
+func (*rerrPkt) SizeBytes() int { return rerrBytes }
 
 type dataPkt struct {
 	Src   radio.NodeID
@@ -350,8 +366,6 @@ func (nd *node) handleRREQ(from radio.NodeID, q *rreqPkt) {
 	fwd := *q
 	fwd.Hops++
 	nd.net.Counters.RREQSent++
-	nd.net.met.RREQSent.Inc()
-	nd.net.met.ControlBytes.Add(rreqBytes)
 	nd.net.med.Broadcast(nd.id, &fwd)
 }
 
@@ -362,8 +376,6 @@ func (nd *node) sendRREP(p *rrepPkt) {
 		return // reverse route evaporated; discovery will time out
 	}
 	nd.net.Counters.RREPSent++
-	nd.net.met.RREPSent.Inc()
-	nd.net.met.ControlBytes.Add(rrepBytes)
 	nd.net.med.Unicast(nd.id, radio.NodeID(r.nextHop), p)
 }
 
@@ -389,7 +401,6 @@ func (nd *node) handleRERR(from radio.NodeID, p *rerrPkt) {
 func (nd *node) handleData(p *dataPkt) {
 	if p.Dst == nd.id {
 		nd.net.Counters.DataDelivered++
-		nd.net.met.DataDelivered.Inc()
 		if nd.onData != nil {
 			// Hops counts forwards before this delivery, so the number of
 			// links traversed is Hops+1.
@@ -399,7 +410,6 @@ func (nd *node) handleData(p *dataPkt) {
 	}
 	if p.Hops >= nd.net.cfg.TTL {
 		nd.net.Counters.DataDropped++
-		nd.net.met.DataDropped.Inc()
 		return
 	}
 	fwd := *p
@@ -419,7 +429,6 @@ func (nd *node) sendData(p *dataPkt) {
 	nd.net.Counters.DataForwarded++
 	if nd.net.med.Unicast(nd.id, nextHop, p) {
 		r.expires = nd.now() + nd.net.cfg.RouteLifetime
-		nd.net.met.DataForwarded.Inc()
 		if nd.net.ForwardHook != nil {
 			nd.net.ForwardHook(p.Inner)
 		}
@@ -427,7 +436,7 @@ func (nd *node) sendData(p *dataPkt) {
 	}
 	// Link break: invalidate, tell upstream, and attempt local repair.
 	nd.net.Counters.DataForwarded-- // transmission did not happen
-	nd.net.met.RouteFailures.Inc()
+	nd.net.Counters.RouteFailures++
 	for _, lost := range nd.invalidateVia(nextHop) {
 		if p.Src != nd.id {
 			nd.sendRERRToward(p.Src, lost)
@@ -447,8 +456,6 @@ func (nd *node) sendRERRToward(src, lostDst radio.NodeID) {
 		seq = lr.seq + 1
 	}
 	nd.net.Counters.RERRSent++
-	nd.net.met.RERRSent.Inc()
-	nd.net.met.ControlBytes.Add(rerrBytes)
 	nd.net.med.Unicast(nd.id, radio.NodeID(r.nextHop), &rerrPkt{Dst: lostDst, DstSeq: seq})
 }
 
@@ -476,9 +483,7 @@ func (nd *node) startDiscovery(dst radio.NodeID) {
 	}
 	id := nd.rreqID
 	nd.net.Counters.RREQSent++
-	nd.net.met.RouteDiscoveries.Inc()
-	nd.net.met.RREQSent.Inc()
-	nd.net.met.ControlBytes.Add(rreqBytes)
+	nd.net.Counters.RouteDiscoveries++
 	nd.net.med.Broadcast(nd.id, &rreqPkt{
 		Orig: nd.id, OrigSeq: nd.seqNo, ID: id, Dst: dst, DstSeq: dstSeq,
 	})
@@ -503,7 +508,6 @@ func (nd *node) discoveryTimeout(dst radio.NodeID) {
 	}
 	// Give up: drop the buffered packets.
 	nd.net.Counters.DataDropped += len(d.packets)
-	nd.net.met.DataDropped.Add(int64(len(d.packets)))
 	delete(nd.pending, dst)
 }
 

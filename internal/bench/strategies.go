@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"manetskyline/internal/manet"
-	"manetskyline/internal/telemetry"
 )
 
 // The three-strategies head-to-head: BF, DF, and SF on the same mobile
@@ -55,16 +54,17 @@ type strategyPoint struct {
 }
 
 func runStrategyPoint(p manet.Params) strategyPoint {
-	p.Metrics = telemetry.NewRegistry()
 	out := manet.Run(p)
 	resp, respOK := out.MeanResponseTime()
 	pt := strategyPoint{
-		queryBytes: p.Metrics.Counter("manet_query_bytes_sent_total", "").Value(),
-		queries:    len(out.Queries),
-		msgs:       out.MeanMessages(),
-		resp:       resp,
-		respOK:     respOK,
-		done:       out.CompletionRate(),
+		queries: len(out.Queries),
+		msgs:    out.MeanMessages(),
+		resp:    resp,
+		respOK:  respOK,
+		done:    out.CompletionRate(),
+	}
+	for _, q := range out.Queries {
+		pt.queryBytes += int64(q.Bytes)
 	}
 	if out.RecallComputed {
 		pt.recall, pt.recallOK = out.MeanRecall()

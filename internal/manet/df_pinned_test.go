@@ -64,7 +64,9 @@ type dfPinned struct {
 // results and retries. The lossless row was recorded with a forwarder that
 // took the first untried entry of the full neighbour list; the retry rows
 // with the simulator's own depth-first implementation, before DF moved into
-// core.Flood.
+// core.Flood. The Broadcasts, Unicasts, NeighborQueries, NeighborScanned,
+// RouteDiscoveries and RouteFailures of each row were read from the
+// registry counters that counted them before those fields existed.
 func TestDFPinned100(t *testing.T) {
 	cases := []struct {
 		name string
@@ -74,9 +76,11 @@ func TestDFPinned100(t *testing.T) {
 		{"lossless", pinnedDF100Params(), dfPinned{
 			Events: 1423083,
 			Radio: radio.Counters{FramesSent: 1018997, Receptions: 3462758,
-				DroppedRange: 41, BytesSent: 97526056},
+				DroppedRange: 41, BytesSent: 97526056,
+				Broadcasts: 68207, Unicasts: 950790, NeighborQueries: 470783, NeighborScanned: 16244154},
 			Aodv: aodv.Counters{RREQSent: 68207, RREPSent: 106098, RERRSent: 814,
-				DataForwarded: 843890, DataDelivered: 795047},
+				DataForwarded: 843890, DataDelivered: 795047,
+				RouteDiscoveries: 1630, RouteFailures: 835},
 			Results: []int{
 				5, 7, 4, 6, 7, 3, 5, 5, 5, 5, 5, 5, 6, 5, 5, 5, 5, 5, 6, 6,
 				8, 3, 11, 6, 6, 5, 5, 6, 5, 5, 4, 6, 5, 5, 4, 6, 6, 6, 6, 7,
@@ -89,9 +93,11 @@ func TestDFPinned100(t *testing.T) {
 		{"loss_retries", pinnedDFRetryParams(), dfPinned{
 			Events: 398962,
 			Radio: radio.Counters{FramesSent: 301932, Receptions: 1720896,
-				DroppedRange: 29, DroppedLoss: 90289, BytesSent: 26924660},
+				DroppedRange: 29, DroppedLoss: 90289, BytesSent: 26924660,
+				Broadcasts: 42388, Unicasts: 259544, NeighborQueries: 136072, NeighborScanned: 5134770},
 			Aodv: aodv.Counters{RREQSent: 42388, RREPSent: 55773, RERRSent: 659,
-				DataForwarded: 203121, DataDelivered: 171797, DataDropped: 15},
+				DataForwarded: 203121, DataDelivered: 171797, DataDropped: 15,
+				RouteDiscoveries: 916, RouteFailures: 507},
 			Results: []int{
 				6, 4, 4, 4, 2, 4, 5, 2, 3, 2, 6, 2, 0, 2, 2, 3, 4, 0, 2, 0,
 				1, 3, 5, 0, 0, 0, 0, 0, 3, 3, 0, 0, 0, 6, 5, 0, 0, 4, 0, 0,
@@ -104,9 +110,11 @@ func TestDFPinned100(t *testing.T) {
 		{"sparse_retries", pinnedDFSparseParams(), dfPinned{
 			Events: 273854,
 			Radio: radio.Counters{FramesSent: 217987, Receptions: 502584,
-				DroppedRange: 34, DroppedLoss: 26244, BytesSent: 19249704},
+				DroppedRange: 34, DroppedLoss: 26244, BytesSent: 19249704,
+				Broadcasts: 73694, Unicasts: 144293, NeighborQueries: 119632, NeighborScanned: 2358122},
 			Aodv: aodv.Counters{RREQSent: 73694, RREPSent: 30624, RERRSent: 6003,
-				DataForwarded: 107959, DataDelivered: 75240, DataDropped: 181},
+				DataForwarded: 107959, DataDelivered: 75240, DataDropped: 181,
+				RouteDiscoveries: 2508, RouteFailures: 1620},
 			Results: []int{
 				5, 4, 4, 6, 5, 6, 4, 5, 4, 3, 4, 3, 2, 4, 5, 2, 4, 5, 6, 0,
 				4, 4, 5, 5, 4, 5, 0, 1, 4, 5, 4, 1, 0, 8, 7, 0, 5, 4, 4, 6,

@@ -32,20 +32,17 @@ type node struct {
 func (n *node) maybeIssue() {
 	if n.busy {
 		n.sc.skipped++
-		n.sc.met.QueriesSkipped.Inc()
 		return
 	}
 	// A crashed or paused device cannot originate.
 	if n.sc.inj != nil && n.sc.inj.NodeDown(n.id, n.sc.eng.Now()) {
 		n.sc.skipped++
-		n.sc.met.QueriesSkipped.Inc()
 		return
 	}
 	n.busy = true
 	pos := n.sc.med.PosOf(n.id)
 	q, res := n.dev.Originate(pos, n.sc.p.QueryDist)
 	n.sc.newMetrics(q)
-	n.sc.met.QueriesIssued.Inc()
 	if d := n.sc.p.QueryDeadline; d > 0 {
 		key := q.Key()
 		n.sc.eng.Schedule(d, func() { n.deadlineExpire(key) })
@@ -72,8 +69,7 @@ func (n *node) Complete(key core.QueryKey, merged []tuple.Tuple) {
 	m.Done = true
 	m.ResponseTime = n.sc.eng.Now() - m.Issued
 	m.ResultTuples = len(merged)
-	n.sc.met.QueriesCompleted.Inc()
-	n.sc.met.ResponseTime.Observe(m.ResponseTime)
+	n.sc.done = append(n.sc.done, m)
 	if m.Partial {
 		n.sc.spans.MarkPartial(spanKey(key))
 	}
@@ -93,7 +89,6 @@ func (n *node) deadlineExpire(key core.QueryKey) {
 		return
 	}
 	m.Partial = true
-	n.sc.met.QueriesPartial.Inc()
 	n.Complete(key, n.fl.Expire(key))
 }
 
@@ -107,7 +102,6 @@ func (n *node) Reissued(key core.QueryKey, attempt int) {
 	if m := n.sc.metrics[key]; m != nil {
 		m.Retries = attempt
 	}
-	n.sc.met.QueryRetries.Inc()
 	n.sc.spans.Observe(spanKey(key), telemetry.Stage{
 		T: n.sc.eng.Now(), Kind: telemetry.StageRetry, Device: int32(n.dev.ID),
 	})

@@ -177,10 +177,11 @@ type Params struct {
 	// metrics, for verification.
 	KeepSkylines bool
 
-	// Metrics, when non-nil, receives live counters from every layer of
-	// the stack (radio_*, aodv_*, core_*, manet_*). Instrumentation is
-	// allocation-free and never disturbs the simulation's randomness, so
-	// runs are bit-identical with and without it.
+	// Metrics, when non-nil, receives counters from every layer of the
+	// stack. The devices' core_* metrics are live; the radio_*, aodv_* and
+	// manet_* totals are added when Run returns, from the per-run counts
+	// the Outcome carries. Instrumentation never disturbs the simulation's
+	// randomness, so runs are bit-identical with and without it.
 	Metrics *telemetry.Registry
 	// Spans, when non-nil, collects per-query issue→process→result
 	// timelines (see telemetry.SpanLog); Outcome.Spans exposes them.

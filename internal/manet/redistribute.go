@@ -83,6 +83,5 @@ func (sc *scenario) redistributeOnce() {
 		best.tuples = append(best.tuples, moved...)
 		best.dev.Rel = storage.NewHybrid(best.tuples)
 		sc.redist.transfers++
-		sc.met.Transfers.Inc()
 	}
 }

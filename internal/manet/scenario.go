@@ -39,8 +39,10 @@ type QueryMetrics struct {
 	// query with in-range data.
 	Acc core.DRRAccumulator
 	// Messages counts hop-level protocol transmissions attributed to this
-	// query (query forwards, acks, and result hops).
+	// query (query forwards, DF hand-offs, and result hops; DF's acks are
+	// not counted), the Figure 12 metric; Bytes is their payload bytes.
 	Messages int
+	Bytes    int
 	// ResultTuples is the final merged skyline size at the originator.
 	ResultTuples int
 	// Skyline is the final merged result (only with Params.KeepSkylines).
@@ -177,11 +179,12 @@ type scenario struct {
 	nodes   []node
 	metrics map[core.QueryKey]*QueryMetrics
 	order   []core.QueryKey
+	// done lists completed queries in completion order.
+	done    []*QueryMetrics
 	skipped int
 	redist  redistributionState
 	inj     *faults.Injector
 
-	met   simMetrics
 	spans *telemetry.SpanLog
 	// except is Next's reusable copy of a walk's tried list.
 	except []radio.NodeID
@@ -223,6 +226,7 @@ func Run(p Params) *Outcome {
 		sc.computeRecall(out)
 	}
 	out.Spans = sc.spans.Spans()
+	publish(p.Metrics, out, sc.done)
 	return out
 }
 
@@ -258,16 +262,10 @@ func build(p Params) *scenario {
 		med.SetFaults(inj)
 		sc.inj = inj
 	}
-	// Live telemetry: attach every layer's surface to the shared registry.
-	// Instrumentation only reads simulation state — it never draws from the
-	// RNG or alters message sizes — so instrumented runs stay bit-identical.
-	var devMet core.Metrics
-	if p.Metrics != nil {
-		med.SetMetrics(radio.NewMetrics(p.Metrics))
-		net.SetMetrics(aodv.NewMetrics(p.Metrics))
-		devMet = core.NewMetrics(p.Metrics, p.Mode)
-		sc.met = newSimMetrics(p.Metrics)
-	}
+	// The devices' core_* metrics are live; the simulator's own counts go
+	// to the registry when the run ends (see publish). Instrumentation only
+	// reads simulation state, so instrumented runs stay bit-identical.
+	devMet := core.NewMetrics(p.Metrics, p.Mode)
 	// Hop-level message attribution: query hand-offs and result returns
 	// count toward Figure 12's metric; the ack/nack control chatter of this
 	// implementation's DF failure handling does not (the paper's protocol
@@ -277,11 +275,7 @@ func build(p Params) *scenario {
 		if !ok || fm.Kind == core.MsgAck {
 			return
 		}
-		if m := sc.metrics[fm.Key()]; m != nil {
-			m.Messages++
-		}
-		sc.met.QueryMessages.Inc()
-		sc.met.QueryBytes.Add(int64(fm.SizeBytes()))
+		sc.countQueryMessages(fm.Key(), 1, fm.SizeBytes())
 	}
 
 	// Dataset and partitioning.
@@ -399,9 +393,8 @@ func processAcc(q core.Query, res localsky.Result) core.DRRAccumulator {
 func (sc *scenario) countQueryMessages(key core.QueryKey, n, sizeBytes int) {
 	if m := sc.metrics[key]; m != nil {
 		m.Messages += n
+		m.Bytes += n * sizeBytes
 	}
-	sc.met.QueryMessages.Add(int64(n))
-	sc.met.QueryBytes.Add(int64(n) * int64(sizeBytes))
 }
 
 // computeRecall runs the centralized oracle after the simulation: for every
@@ -448,7 +441,6 @@ func (sc *scenario) computeRecall(out *Outcome) {
 		} else {
 			qm.Precision = float64(matched) / float64(len(qm.Skyline))
 		}
-		sc.met.Recall.Observe(qm.Recall)
 		// Per-query timelines carry their oracle score.
 		sc.spans.SetRecall(spanKey(qm.Key), qm.Recall)
 	}

@@ -140,8 +140,11 @@ func (c Config) Validate() error {
 // Counters aggregates medium activity. The query-message counts of the
 // paper's Figure 12 are derived from these by the manet layer.
 type Counters struct {
-	// FramesSent counts transmissions (a broadcast is one transmission).
+	// FramesSent counts transmissions (a broadcast is one transmission);
+	// Broadcasts and Unicasts split it by kind.
 	FramesSent int
+	Broadcasts int
+	Unicasts   int
 	// Receptions counts successful frame deliveries.
 	Receptions int
 	// DroppedRange counts frames lost because the receiver left range
@@ -159,6 +162,10 @@ type Counters struct {
 	DupedFrames int
 	// BytesSent counts transmitted bytes including headers.
 	BytesSent int
+	// NeighborQueries and NeighborScanned are the spatial grid's probe
+	// cost: probes issued and candidate nodes distance-checked.
+	NeighborQueries int
+	NeighborScanned int
 }
 
 // Medium is the shared wireless channel.
@@ -191,9 +198,6 @@ type Medium struct {
 	// Counters is exported for metric collection; reset between scenarios
 	// if per-run deltas are needed.
 	Counters Counters
-
-	// met is the optional telemetry surface (zero value = disabled).
-	met Metrics
 
 	// faults is the optional fault injector (nil = fault-free medium).
 	faults FaultInjector
@@ -279,7 +283,7 @@ func (m *Medium) InRange(a, b NodeID) bool {
 // reports that the ring covers every occupied cell, so every node is a
 // candidate and cand is empty (see gridGather).
 func (m *Medium) neighborCandidates(id NodeID) (p tuple.Point, now float64, cand []int32, full bool) {
-	m.met.NeighborQueries.Inc()
+	m.Counters.NeighborQueries++
 	now = m.eng.Now()
 	m.gridEnsure(now)
 	p = m.posOfIdx(int32(id), now)
@@ -303,7 +307,7 @@ func (m *Medium) NeighborsInto(id NodeID, buf []NodeID) []NodeID {
 	p, now, cand, full := m.neighborCandidates(id)
 	if full {
 		// Full coverage: every node is a candidate, already in ID order.
-		m.met.NeighborScanned.Add(int64(len(m.mobs) - 1))
+		m.Counters.NeighborScanned += len(m.mobs) - 1
 		for i := range m.mobs {
 			if NodeID(i) == id {
 				continue
@@ -317,7 +321,7 @@ func (m *Medium) NeighborsInto(id NodeID, buf []NodeID) []NodeID {
 	// Cells are visited in block order: mark the candidates in range in the
 	// ID bitset, then sweep the words touched to emit them in the global ID
 	// order the brute-force scan produces.
-	m.met.NeighborScanned.Add(int64(len(cand)))
+	m.Counters.NeighborScanned += len(cand)
 	lo, hi := len(m.inRange), -1
 	for _, ni := range cand {
 		if NodeID(ni) == id {
@@ -360,11 +364,11 @@ func (m *Medium) FirstNeighborExcept(id NodeID, except []NodeID) NodeID {
 			}
 			scanned++
 			if p.WithinDist(m.posOfIdx(int32(i), now), m.cfg.Range) {
-				m.met.NeighborScanned.Add(int64(scanned))
+				m.Counters.NeighborScanned += scanned
 				return i
 			}
 		}
-		m.met.NeighborScanned.Add(int64(scanned))
+		m.Counters.NeighborScanned += scanned
 		return -1
 	}
 	// Gathered candidates come in block order, not ID order. Mark id and
@@ -395,7 +399,7 @@ func (m *Medium) FirstNeighborExcept(id NodeID, except []NodeID) NodeID {
 			m.inRange[e>>6] = 0
 		}
 	}
-	m.met.NeighborScanned.Add(int64(scanned))
+	m.Counters.NeighborScanned += scanned
 	if best == n {
 		return -1
 	}
@@ -446,7 +450,6 @@ func (m *Medium) runDelivery(slot uint32, _ uint64) {
 			continue
 		}
 		m.Counters.Receptions++
-		m.met.Deliveries.Inc()
 		m.handlers[rcv](from, p)
 	}
 	m.putSlot(slot)
@@ -463,7 +466,6 @@ func (m *Medium) runLinkDelivery(slot uint32, b uint64) {
 	rcv := NodeID(b)
 	if m.received(from, rcv, m.PosOf(from)) {
 		m.Counters.Receptions++
-		m.met.Deliveries.Inc()
 		m.handlers[rcv](from, p) // may grow m.inflight; d is stale after
 	}
 	if last {
@@ -523,7 +525,6 @@ func (m *Medium) sendFrame(slot uint32, at, airtime float64) {
 		// admitted bit-reliably.
 		if arr > at+capTime {
 			m.Counters.DroppedQueue++
-			m.met.DropsQueue.Inc()
 			continue
 		}
 		m.rxBusy[rcv] = arr + airtime
@@ -553,10 +554,8 @@ func (m *Medium) Unicast(from, to NodeID, p Payload) bool {
 	}
 	start, airtime := m.txDelay(from, p.SizeBytes())
 	m.Counters.FramesSent++
+	m.Counters.Unicasts++
 	m.Counters.BytesSent += p.SizeBytes() + m.cfg.HeaderBytes
-	m.met.Unicasts.Inc()
-	m.met.FramesSent.Inc()
-	m.met.BytesSent.Add(int64(p.SizeBytes() + m.cfg.HeaderBytes))
 	slot := m.getSlot()
 	d := &m.inflight[slot]
 	d.from = from
@@ -574,12 +573,10 @@ func (m *Medium) received(from, to NodeID, fromPos tuple.Point) bool {
 	if m.faults != nil &&
 		m.faults.CutLink(from, to, m.eng.Now(), fromPos, toPos) {
 		m.Counters.DroppedFault++
-		m.met.DropsFault.Inc()
 		return false
 	}
 	if !fromPos.WithinDist(toPos, m.cfg.Range) {
 		m.Counters.DroppedRange++
-		m.met.DropsRange.Inc()
 		return false
 	}
 	if m.cfg.FadeMargin > 0 {
@@ -588,14 +585,12 @@ func (m *Medium) received(from, to NodeID, fromPos tuple.Point) bool {
 			pRecv := (m.cfg.Range - d) / (m.cfg.Range - edge)
 			if m.rng.Float64() >= pRecv {
 				m.Counters.DroppedRange++
-				m.met.DropsRange.Inc()
 				return false
 			}
 		}
 	}
 	if m.cfg.Loss > 0 && m.rng.Float64() < m.cfg.Loss {
 		m.Counters.DroppedLoss++
-		m.met.DropsLoss.Inc()
 		return false
 	}
 	return true
@@ -614,10 +609,8 @@ func (m *Medium) Broadcast(from NodeID, p Payload) int {
 	d.to = m.NeighborsInto(from, d.to)
 	start, airtime := m.txDelay(from, p.SizeBytes())
 	m.Counters.FramesSent++
+	m.Counters.Broadcasts++
 	m.Counters.BytesSent += p.SizeBytes() + m.cfg.HeaderBytes
-	m.met.Broadcasts.Inc()
-	m.met.FramesSent.Inc()
-	m.met.BytesSent.Add(int64(p.SizeBytes() + m.cfg.HeaderBytes))
 	nrecv := len(d.to)
 	if nrecv == 0 {
 		m.putSlot(slot)

@@ -8,8 +8,9 @@ import (
 
 // The bytes-on-air ledger: the paper's central cost model is messages and
 // bytes over multi-hop routes, so every layer that moves bytes keeps a
-// `<layer>_bytes_…_total` counter (radio_bytes_sent_total,
-// aodv_bytes_sent_total, manet_query_bytes_total, tcp_bytes_out_total, …).
+// `<layer>_…bytes…_total` counter (radio_bytes_sent_total,
+// aodv_control_bytes_sent_total, manet_query_bytes_sent_total,
+// tcp_bytes_out_total, …).
 // Registry.Bytes rolls whatever byte counters exist into one BytesReport so
 // strategies can be scored on bytes, not just latency, without each caller
 // knowing the full counter inventory.

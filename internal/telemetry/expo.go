@@ -13,8 +13,8 @@ import (
 // exposition format (for /metrics and scrape-style tooling) and a JSON
 // snapshot (for the bench harness and ad hoc inspection). Exposition walks
 // metrics in sorted order so output is deterministic; it reads values with
-// the same atomics the hot paths write, so it can run concurrently with an
-// active simulation or peer.
+// the same atomics the hot paths write, so it can run concurrently with
+// live peers or with a simulation's core_* updates.
 
 // snapshotMetric is one metric's point-in-time state, shared by both
 // exposition formats.

@@ -1,9 +1,9 @@
 // Package telemetry is the shared measurement vocabulary of the
 // reproduction: a registry of counters, gauges, and fixed-bucket histograms
-// that every layer — the radio medium, AODV routing, the core protocol, the
-// MANET simulator, and the live TCP peers — reports into, plus per-query
-// issue→process→…→complete spans, the one trace both the simulator and the
-// live peers write.
+// that the core protocol and the live TCP peers report into as they run,
+// and that the MANET simulator fills with its radio, routing and query
+// totals when a run ends, plus per-query issue→process→…→complete spans,
+// the one trace both the simulator and the live peers write.
 //
 // Two properties shape the design:
 //

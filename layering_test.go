@@ -64,8 +64,9 @@ func moduleImports(t *testing.T) map[string][]string {
 
 // TestLayering pins the package layering the protocol core relies on:
 // internal/core is the transport-agnostic protocol (no simulator, radio,
-// routing, mobility, wire format, sockets or clocks), and only the
-// simulator's own layers reach the radio and routing substrate.
+// routing, mobility, wire format, sockets or clocks), only the simulator's
+// own layers reach the radio and routing substrate, and that substrate
+// counts in its own per-run Counters, not in the telemetry registry.
 func TestLayering(t *testing.T) {
 	imports := moduleImports(t)
 	if len(imports["internal/core"]) == 0 {
@@ -76,6 +77,11 @@ func TestLayering(t *testing.T) {
 		case module + "internal/sim", module + "internal/radio", module + "internal/aodv",
 			module + "internal/mobility", module + "internal/wire", "net", "time":
 			t.Errorf("internal/core imports %s", p)
+		}
+	}
+	for _, dir := range []string{"internal/radio", "internal/aodv"} {
+		if slices.Contains(imports[dir], module+"internal/telemetry") {
+			t.Errorf("%s imports internal/telemetry", dir)
 		}
 	}
 	substrate := []string{module + "internal/radio", module + "internal/aodv"}
