@@ -102,10 +102,10 @@ func DecodeFilterSet(b []byte) (FilterSet, error) {
 	m.D = math.Float64frombits(binary.LittleEndian.Uint64(b[26:]))
 	m.SampleK = binary.LittleEndian.Uint16(b[34:])
 	count := binary.LittleEndian.Uint32(b[36:])
-	if count > MaxTuples {
-		return FilterSet{}, fmt.Errorf("wire: filter set claims %d tuples, limit %d", count, MaxTuples)
-	}
 	b = b[40:]
+	if err := checkTupleCount("filter set", count, b); err != nil {
+		return FilterSet{}, err
+	}
 	m.Tuples = make([]tuple.Tuple, 0, count)
 	for i := uint32(0); i < count; i++ {
 		t, rest, err := decodeTuple(b)

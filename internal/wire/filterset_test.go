@@ -126,6 +126,7 @@ func FuzzDecodeFilterSet(f *testing.F) {
 		Tuples: []tuple.Tuple{{X: 1, Y: 2, Attrs: []float64{3, 4}}},
 	}))
 	f.Add([]byte{byte(KindFilterSet)})
+	f.Add(hostileFilterSet())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		m, err := DecodeFilterSet(b)
 		if err != nil {

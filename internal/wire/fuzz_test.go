@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -130,6 +132,50 @@ func FuzzDecodeReject(f *testing.F) {
 	})
 }
 
+// hostileResult is a 14-byte result frame, a header with no tuples that
+// claims MaxTuples of them.
+func hostileResult() []byte {
+	b := make([]byte, 1+4+1+4+4)
+	b[0] = byte(KindResult)
+	binary.LittleEndian.PutUint32(b[10:], MaxTuples)
+	return b
+}
+
+// hostileFilterSet is the 41-byte filter-set frame of the same kind.
+func hostileFilterSet() []byte {
+	b := make([]byte, 1+4+1+1+4+24+2+4)
+	b[0] = byte(KindFilterSet)
+	binary.LittleEndian.PutUint32(b[37:], MaxTuples)
+	return b
+}
+
+// TestDecodeClaimedCountAllocatesLittle feeds each decoder a frame whose
+// tuple count is far beyond what its bytes could hold: the decode must fail
+// before it allocates for the claimed count.
+func TestDecodeClaimedCountAllocatesLittle(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		frame  []byte
+		decode func([]byte) error
+	}{
+		{"result", hostileResult(), func(b []byte) error { _, err := DecodeResult(b); return err }},
+		{"filter-set", hostileFilterSet(), func(b []byte) error { _, err := DecodeFilterSet(b); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := tc.decode(tc.frame)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("%d-byte frame claiming %d tuples decoded", len(tc.frame), MaxTuples)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+				t.Errorf("decode allocated %d bytes before failing (%v)", d, err)
+			}
+		})
+	}
+}
+
 // FuzzDecodeResult is the same contract for result messages.
 func FuzzDecodeResult(f *testing.F) {
 	f.Add(EncodeResult(Result{Key: core.QueryKey{Org: 1, Cnt: 1}}))
@@ -139,6 +185,7 @@ func FuzzDecodeResult(f *testing.F) {
 		Tuples: []tuple.Tuple{{X: 1, Y: 2, Attrs: []float64{3, 4}}},
 	}))
 	f.Add([]byte{byte(KindResult)})
+	f.Add(hostileResult())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := DecodeResult(b)
 		if err != nil {

@@ -73,6 +73,20 @@ func appendTuple(b []byte, t tuple.Tuple) []byte {
 // tupleSize is the encoded size of one tuple.
 func tupleSize(dim int) int { return 8 + 8 + 2 + 8*dim }
 
+// checkTupleCount rejects a message's claimed tuple count before anything
+// is allocated for it: above MaxTuples, or more tuples than the rest of the
+// message could hold at the smallest tuple encoding. what names the
+// message in the error.
+func checkTupleCount(what string, count uint32, rest []byte) error {
+	if count > MaxTuples {
+		return fmt.Errorf("wire: %s claims %d tuples, limit %d", what, count, MaxTuples)
+	}
+	if int(count) > len(rest)/tupleSize(0) {
+		return fmt.Errorf("wire: %s claims %d tuples in %d bytes", what, count, len(rest))
+	}
+	return nil
+}
+
 // decodeTuple decodes one tuple, returning the remaining bytes.
 func decodeTuple(b []byte) (tuple.Tuple, []byte, error) {
 	if len(b) < 18 {
@@ -239,10 +253,10 @@ func DecodeResult(b []byte) (Result, error) {
 	r.Key.Cnt = b[4]
 	r.From = core.DeviceID(int32(binary.LittleEndian.Uint32(b[5:])))
 	count := binary.LittleEndian.Uint32(b[9:])
-	if count > MaxTuples {
-		return r, fmt.Errorf("wire: result claims %d tuples, limit %d", count, MaxTuples)
-	}
 	b = b[13:]
+	if err := checkTupleCount("result", count, b); err != nil {
+		return r, err
+	}
 	r.Tuples = make([]tuple.Tuple, 0, count)
 	for i := uint32(0); i < count; i++ {
 		t, rest, err := decodeTuple(b)
