@@ -79,7 +79,7 @@ func AblationMultiFilter(sc Scale) []*Table {
 			devs[i] = core.NewDevice(core.DeviceID(i), part, cfg.Schema(), core.Under, true)
 			devs[i].NumFilters = k
 		}
-		outs := core.RunStaticAllOpt(devs, p.StaticGrid, core.StaticOptions{SkipAssembly: true})
+		outs := core.RunStaticAll(devs, p.StaticGrid, core.StaticOptions{SkipAssembly: true})
 		var acc core.DRRAccumulator
 		for _, o := range outs {
 			acc.Add(o.Acc)

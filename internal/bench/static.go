@@ -43,7 +43,7 @@ func staticDRR(n, dim, grid int, dist gen.Distribution, s staticSeries, seed int
 	for i, p := range parts {
 		devs[i] = core.NewDevice(core.DeviceID(i), p, cfg.Schema(), s.mode, s.dynamic)
 	}
-	outs := core.RunStaticAllOpt(devs, grid, core.StaticOptions{SkipAssembly: true})
+	outs := core.RunStaticAll(devs, grid, core.StaticOptions{SkipAssembly: true})
 	var acc core.DRRAccumulator
 	for _, o := range outs {
 		acc.Add(o.Acc)

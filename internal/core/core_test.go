@@ -352,7 +352,7 @@ func TestRunStaticDRRPositiveOnIndependentData(t *testing.T) {
 func TestRunStaticDynamicBeatsOrMatchesSingleOnAverage(t *testing.T) {
 	sum := func(dynamic bool) float64 {
 		devs := staticDevices(t, 10000, 2, 4, gen.Independent, Under, dynamic, 13)
-		outs := RunStaticAll(devs, 4)
+		outs := RunStaticAll(devs, 4, StaticOptions{})
 		total := 0.0
 		for _, o := range outs {
 			total += o.DRR()
@@ -368,7 +368,7 @@ func TestRunStaticDynamicBeatsOrMatchesSingleOnAverage(t *testing.T) {
 
 func TestRunStaticAllResetsLogs(t *testing.T) {
 	devs := staticDevices(t, 1000, 2, 3, gen.Independent, Exact, true, 5)
-	outs := RunStaticAll(devs, 3)
+	outs := RunStaticAll(devs, 3, StaticOptions{})
 	if len(outs) != 9 {
 		t.Fatalf("got %d outcomes", len(outs))
 	}

@@ -111,12 +111,7 @@ var gridNeighbors = [4][2]int{{-1, 0}, {1, 0}, {0, -1}, {0, 1}}
 // m×m-query experiments average over every device originating) and returns
 // the outcomes in originator order. Device query logs are reset between
 // runs so each query is fresh.
-func RunStaticAll(devices []*Device, g int) []StaticOutcome {
-	return RunStaticAllOpt(devices, g, StaticOptions{})
-}
-
-// RunStaticAllOpt is RunStaticAll with options.
-func RunStaticAllOpt(devices []*Device, g int, opt StaticOptions) []StaticOutcome {
+func RunStaticAll(devices []*Device, g int, opt StaticOptions) []StaticOutcome {
 	outs := make([]StaticOutcome, len(devices))
 	for org := range devices {
 		for _, d := range devices {

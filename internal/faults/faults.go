@@ -217,13 +217,3 @@ func ReadFile(path string) (*Plan, error) {
 	}
 	return ParseJSON(b)
 }
-
-// MarshalJSON helpers are the stdlib defaults; WriteFile is the inverse of
-// ReadFile for plan authoring tools and tests.
-func WriteFile(path string, p *Plan) error {
-	b, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}

@@ -7,15 +7,6 @@ import (
 	"sort"
 )
 
-// Sum returns the total of the values (0 for an empty slice).
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Median returns the 50th percentile, or 0 for an empty slice.
 func Median(xs []float64) float64 {
 	return Percentile(xs, 50)
@@ -31,49 +22,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation, or 0 for fewer than two
-// samples.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Min returns the smallest value, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest value, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) using linear
@@ -126,7 +74,7 @@ func (w *Welford) N() int { return w.n }
 func (w *Welford) Mean() float64 { return w.mean }
 
 // Variance returns the population variance, or 0 for fewer than two
-// samples (matching StdDev).
+// samples.
 func (w *Welford) Variance() float64 {
 	if w.n < 2 {
 		return 0

@@ -57,15 +57,6 @@ type Relation interface {
 	Model() string
 }
 
-// Tuples materializes every tuple of a relation, in storage order.
-func Tuples(r Relation) []tuple.Tuple {
-	out := make([]tuple.Tuple, r.Len())
-	for i := range out {
-		out[i] = r.Tuple(i)
-	}
-	return out
-}
-
 // checkBuild validates constructor input: all tuples must share one
 // dimensionality.
 func checkBuild(ts []tuple.Tuple) int {

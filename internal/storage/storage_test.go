@@ -9,6 +9,15 @@ import (
 	"manetskyline/internal/tuple"
 )
 
+// allTuples materializes every tuple of a relation, in storage order.
+func allTuples(r Relation) []tuple.Tuple {
+	out := make([]tuple.Tuple, r.Len())
+	for i := range out {
+		out[i] = r.Tuple(i)
+	}
+	return out
+}
+
 func builders() map[string]func([]tuple.Tuple) Relation {
 	return map[string]func([]tuple.Tuple) Relation{
 		"flat":   func(ts []tuple.Tuple) Relation { return NewFlat(ts) },
@@ -30,7 +39,7 @@ func TestModelsPreserveContents(t *testing.T) {
 		if r.Dim() != 3 {
 			t.Fatalf("%s: Dim = %d, want 3", name, r.Dim())
 		}
-		got := Tuples(r)
+		got := allTuples(r)
 		if !sameMultiset(got, data) {
 			t.Errorf("%s: stored tuples differ from input", name)
 		}
@@ -120,7 +129,7 @@ func TestHybridSortProperty(t *testing.T) {
 	// The SFS presort guarantee: no tuple can dominate an earlier tuple.
 	data := gen.Generate(gen.HandheldConfig(600, 2, gen.AntiCorrelated, 3))
 	h := NewHybrid(data)
-	ts := Tuples(h)
+	ts := allTuples(h)
 	for i := 0; i < len(ts); i++ {
 		for k := 0; k < i; k++ {
 			if ts[i].Dominates(ts[k]) {
@@ -202,7 +211,7 @@ func TestSkylineSameAcrossModels(t *testing.T) {
 	want := skyline.BNL(data)
 	for name, build := range builders() {
 		r := build(data)
-		got := skyline.BNL(Tuples(r))
+		got := skyline.BNL(allTuples(r))
 		if !skyline.SetEqual(want, got) {
 			t.Errorf("%s: skyline over stored tuples differs (%d vs %d)", name, len(got), len(want))
 		}

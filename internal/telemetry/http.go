@@ -5,11 +5,12 @@ import (
 	"net/http/pprof"
 )
 
-// HTTP exposition: Handler and JSONHandler serve one registry; NewMux
-// bundles them with net/http/pprof under the conventional paths, giving a
-// live peer (cmd/skypeer) its /metrics + /debug/pprof endpoint in one call:
+// HTTP exposition: Handler and JSONHandler serve one registry; NewObsMux
+// bundles them, the span and flight endpoints, and net/http/pprof under the
+// conventional paths, giving a live peer (cmd/skypeer) its /metrics +
+// /debug/pprof endpoint in one call:
 //
-//	go http.ListenAndServe(addr, telemetry.NewMux(reg))
+//	go http.ListenAndServe(addr, telemetry.NewObsMux(reg, nil, nil))
 
 // Handler serves the registry in the Prometheus text exposition format.
 // A nil registry serves an empty (but valid) exposition.
@@ -46,15 +47,11 @@ func FlightHandler(f *FlightRecorder) http.Handler {
 	})
 }
 
-// NewMux returns a mux serving /metrics (Prometheus text), /metrics.json
-// (JSON snapshot), and the standard /debug/pprof profiling endpoints.
-func NewMux(r *Registry) *http.ServeMux {
-	return NewObsMux(r, nil, nil)
-}
-
-// NewObsMux is NewMux plus the tracing endpoints: /trace.jsonl serves the
-// span log and /flight.jsonl the flight recorder (both serve empty bodies
-// when nil, so callers wire what they have).
+// NewObsMux returns a mux serving /metrics (Prometheus text), /metrics.json
+// (JSON snapshot), the standard /debug/pprof profiling endpoints, and the
+// tracing endpoints: /trace.jsonl serves the span log and /flight.jsonl the
+// flight recorder (both serve empty bodies when nil, so callers wire what
+// they have).
 func NewObsMux(r *Registry, spans *SpanLog, flight *FlightRecorder) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler(r))

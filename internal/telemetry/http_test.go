@@ -27,7 +27,7 @@ func get(t *testing.T, h http.Handler, path string) (int, string, http.Header) {
 func TestMetricsEndpoint(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("up_total", "ups").Add(7)
-	code, body, hdr := get(t, NewMux(r), "/metrics")
+	code, body, hdr := get(t, NewObsMux(r, nil, nil), "/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
@@ -42,7 +42,7 @@ func TestMetricsEndpoint(t *testing.T) {
 func TestMetricsJSONEndpoint(t *testing.T) {
 	r := NewRegistry()
 	r.Gauge("live", "liveness").Set(1)
-	code, body, hdr := get(t, NewMux(r), "/metrics.json")
+	code, body, hdr := get(t, NewObsMux(r, nil, nil), "/metrics.json")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
@@ -55,7 +55,7 @@ func TestMetricsJSONEndpoint(t *testing.T) {
 }
 
 func TestPprofEndpoint(t *testing.T) {
-	code, body, _ := get(t, NewMux(nil), "/debug/pprof/")
+	code, body, _ := get(t, NewObsMux(nil, nil, nil), "/debug/pprof/")
 	if code != http.StatusOK {
 		t.Fatalf("pprof status = %d", code)
 	}
@@ -65,7 +65,7 @@ func TestPprofEndpoint(t *testing.T) {
 }
 
 func TestNilRegistryEndpointsServe(t *testing.T) {
-	code, body, _ := get(t, NewMux(nil), "/metrics")
+	code, body, _ := get(t, NewObsMux(nil, nil, nil), "/metrics")
 	if code != http.StatusOK || body != "" {
 		t.Errorf("nil registry /metrics = %d %q, want 200 with empty body", code, body)
 	}

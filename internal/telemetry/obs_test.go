@@ -416,12 +416,13 @@ func TestObsMuxEndpoints(t *testing.T) {
 	if out := get("/flight.jsonl"); !strings.Contains(out, "dial_failure") {
 		t.Errorf("/flight.jsonl: %s", out)
 	}
-	// Legacy NewMux still serves empty trace/flight bodies rather than 404.
-	srv2 := httptest.NewServer(NewMux(r))
+	// Without a span log or flight recorder the endpoints serve empty
+	// bodies rather than 404.
+	srv2 := httptest.NewServer(NewObsMux(r, nil, nil))
 	defer srv2.Close()
 	resp, err := srv2.Client().Get(srv2.URL + "/trace.jsonl")
 	if err != nil || resp.StatusCode != 200 {
-		t.Fatalf("legacy mux /trace.jsonl: %v %v", err, resp)
+		t.Fatalf("mux without a span log /trace.jsonl: %v %v", err, resp)
 	}
 	resp.Body.Close()
 }
