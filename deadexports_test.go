@@ -1,0 +1,177 @@
+package manetskyline
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// liveWithoutCaller lists the exported top-level functions of internal/
+// that no non-test file calls but that stay, each with its reason.
+var liveWithoutCaller = map[string]string{
+	"internal/device.Desktop":     "the paper's simulation-host constants, kept to re-run the claim table under them (ROADMAP 6(b))",
+	"internal/leaktest.Check":     "test-support entry point: tests defer it to catch leaked goroutines",
+	"internal/chaos.Soak":         "test-support entry point: the chaos soak tests drive the fleet through it",
+	"internal/chaos.SoakOverload": "test-support entry point: the overload soak tests drive the gateway through it",
+}
+
+// goFile is one parsed non-test source file and the module-relative,
+// slash-separated directory it lives in.
+type goFile struct {
+	dir string
+	f   *ast.File
+}
+
+// sourceFiles parses every non-test .go file under root, skipping testdata,
+// hidden directories and nested modules; prefix is prepended to each
+// file's directory.
+func sourceFiles(t *testing.T, root, prefix string) []goFile {
+	t.Helper()
+	var out []goFile
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if p == root {
+				return nil
+			}
+			if d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, filepath.Dir(p))
+		if err != nil {
+			return err
+		}
+		out = append(out, goFile{dir: path.Join(prefix, filepath.ToSlash(rel)), f: f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestNoDeadExports fails on an exported top-level function in internal/
+// that no non-test file of this module or of the benchmark module refers
+// to: code that only its own tests reach is a second way of doing
+// something, and goes. Methods are not checked, because telling which type
+// a selector names needs type information.
+func TestNoDeadExports(t *testing.T) {
+	files := sourceFiles(t, ".", "")
+	files = append(files, sourceFiles(t, "benchmark", "benchmark")...)
+
+	// Exported top-level functions of internal/, as "dir.Name".
+	exported := map[string]bool{}
+	for _, gf := range files {
+		if !strings.HasPrefix(gf.dir, "internal/") {
+			continue
+		}
+		for _, decl := range gf.f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.IsExported() {
+				exported[gf.dir+"."+fd.Name.Name] = true
+			}
+		}
+	}
+	if len(exported) == 0 {
+		t.Fatal("found no exported functions in internal/")
+	}
+
+	// References: pkg.Name through an import of this module, or a bare
+	// Name inside the declaring package other than the function's own body.
+	used := map[string]bool{}
+	for _, gf := range files {
+		imports := map[string]string{} // local name -> module-relative dir
+		for _, imp := range gf.f.Imports {
+			p, err := strconv.Unquote(imp.Path.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(p, module) {
+				continue
+			}
+			name := path.Base(p)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = strings.TrimPrefix(p, module)
+		}
+		for _, decl := range gf.f.Decls {
+			self := ""
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv == nil {
+				self = fd.Name.Name
+			}
+			var visit func(ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					// The declared name is not a reference.
+					if n.Recv != nil {
+						ast.Inspect(n.Recv, visit)
+					}
+					ast.Inspect(n.Type, visit)
+					if n.Body != nil {
+						ast.Inspect(n.Body, visit)
+					}
+					return false
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok {
+						if dir, ok := imports[x.Name]; ok {
+							used[dir+"."+n.Sel.Name] = true
+							return false
+						}
+					}
+					// A field or method name is not a package-level one.
+					ast.Inspect(n.X, visit)
+					return false
+				case *ast.Ident:
+					if n.Name != self {
+						used[gf.dir+"."+n.Name] = true
+					}
+				}
+				return true
+			}
+			ast.Inspect(decl, visit)
+		}
+	}
+
+	var dead []string
+	for fn := range exported {
+		if !used[fn] {
+			if _, ok := liveWithoutCaller[fn]; !ok {
+				dead = append(dead, fn)
+			}
+		} else if _, ok := liveWithoutCaller[fn]; ok {
+			t.Errorf("%s is on the allowlist but has a caller now; take it off", fn)
+		}
+	}
+	for fn := range liveWithoutCaller {
+		if !exported[fn] {
+			t.Errorf("allowlisted %s is not an exported function of internal/", fn)
+		}
+	}
+	sort.Strings(dead)
+	for _, fn := range dead {
+		t.Errorf("%s is exported but no non-test file calls it", fn)
+	}
+}
