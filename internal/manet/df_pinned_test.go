@@ -67,6 +67,12 @@ type dfPinned struct {
 // core.Flood. The Broadcasts, Unicasts, NeighborQueries, NeighborScanned,
 // RouteDiscoveries and RouteFailures of each row were read from the
 // registry counters that counted them before those fields existed.
+//
+// Events was re-recorded when DF's ack and subtree timers moved onto
+// sim.Lane: arming a node's next DF timer of a query now cancels its
+// previous one, which could only have fired as a no-op, and a cancelled
+// timer is not an executed event. Every event that still runs keeps its
+// time and order, so the other fields did not move.
 func TestDFPinned100(t *testing.T) {
 	cases := []struct {
 		name string
@@ -74,7 +80,7 @@ func TestDFPinned100(t *testing.T) {
 		want dfPinned
 	}{
 		{"lossless", pinnedDF100Params(), dfPinned{
-			Events: 1423083,
+			Events: 1040554,
 			Radio: radio.Counters{FramesSent: 1018997, Receptions: 3462758,
 				DroppedRange: 41, BytesSent: 97526056,
 				Broadcasts: 68207, Unicasts: 950790, NeighborQueries: 470783, NeighborScanned: 16244154},
@@ -91,7 +97,7 @@ func TestDFPinned100(t *testing.T) {
 			Retries: make([]int, 100),
 		}},
 		{"loss_retries", pinnedDFRetryParams(), dfPinned{
-			Events: 398962,
+			Events: 319079,
 			Radio: radio.Counters{FramesSent: 301932, Receptions: 1720896,
 				DroppedRange: 29, DroppedLoss: 90289, BytesSent: 26924660,
 				Broadcasts: 42388, Unicasts: 259544, NeighborQueries: 136072, NeighborScanned: 5134770},
@@ -108,7 +114,7 @@ func TestDFPinned100(t *testing.T) {
 			Retries: make([]int, 100),
 		}},
 		{"sparse_retries", pinnedDFSparseParams(), dfPinned{
-			Events: 273854,
+			Events: 244688,
 			Radio: radio.Counters{FramesSent: 217987, Receptions: 502584,
 				DroppedRange: 34, DroppedLoss: 26244, BytesSent: 19249704,
 				Broadcasts: 73694, Unicasts: 144293, NeighborQueries: 119632, NeighborScanned: 2358122},
@@ -153,7 +159,9 @@ func TestDFPinned100(t *testing.T) {
 // after a newer one is accepted and processed again. The device then holds
 // one walk for that query, the newest, and the run stays small; were the
 // replaced walk to go on walking on its own timers, walks would multiply
-// with every such hand-off.
+// with every such hand-off. The run takes 39 388 events; the bound keeps
+// the headroom it had when the run took 49 145, before DF's cancelled
+// timers stopped counting as events.
 func TestDFReHandoffBounded(t *testing.T) {
 	p := smallParams(DepthFirst)
 	p.Static = false
@@ -162,7 +170,7 @@ func TestDFReHandoffBounded(t *testing.T) {
 	p.QueryDeadline = 120
 	p.Radio.Range = 380
 	p.Radio.Loss = 0.05
-	if out := Run(p); out.Events > 200000 {
-		t.Errorf("%d events, want at most 200000", out.Events)
+	if out := Run(p); out.Events > 160000 {
+		t.Errorf("%d events, want at most 160000", out.Events)
 	}
 }

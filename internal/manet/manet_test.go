@@ -1,6 +1,8 @@
 package manet
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"manetskyline/internal/core"
@@ -44,6 +46,33 @@ func TestValidate(t *testing.T) {
 	bad3.MaxQueries = 0
 	if bad3.Validate() == nil {
 		t.Errorf("max < min queries should be invalid")
+	}
+}
+
+// TestValidateRejectsNonFiniteTimes checks every time field for NaN and
+// infinity: a NaN AckTimeout, say, would become a NaN lane delay.
+func TestValidateRejectsNonFiniteTimes(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(p *Params, v float64)
+	}{
+		{"SimTime", func(p *Params, v float64) { p.SimTime = v }},
+		{"SampleWait", func(p *Params, v float64) { p.SampleWait = v }},
+		{"AckTimeout", func(p *Params, v float64) { p.AckTimeout = v }},
+		{"SubtreeTimeout", func(p *Params, v float64) { p.SubtreeTimeout = v }},
+		{"RetryBackoff", func(p *Params, v float64) { p.QueryRetries, p.RetryBackoff = 2, v }},
+		{"RetryBackoffMax", func(p *Params, v float64) { p.QueryRetries, p.RetryBackoffMax = 2, v }},
+		{"QueryDeadline", func(p *Params, v float64) { p.QueryDeadline = v }},
+		{"RedistributePeriod", func(p *Params, v float64) { p.Redistribute, p.RedistributePeriod = true, v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			p := DefaultParams()
+			f.set(&p, v)
+			if err := p.Validate(); err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %g: Validate returned %v, want an error naming the field", f.name, v, err)
+			}
+		}
 	}
 }
 

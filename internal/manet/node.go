@@ -4,6 +4,7 @@ import (
 	"manetskyline/internal/core"
 	"manetskyline/internal/localsky"
 	"manetskyline/internal/radio"
+	"manetskyline/internal/sim"
 	"manetskyline/internal/telemetry"
 	"manetskyline/internal/tuple"
 )
@@ -25,6 +26,8 @@ type node struct {
 	fl core.Flood
 	// reflooding marks the flood that follows a BF or SF re-issue.
 	reflooding bool
+	// dfTimers holds the DF timer last armed for each query (see armDF).
+	dfTimers map[core.QueryKey]dfTimer
 }
 
 // maybeIssue fires at a scheduled issue time; a device with a query in
@@ -172,12 +175,48 @@ func (n *node) Arm(key core.QueryKey, t core.Timer, arg int) {
 		d = n.sc.p.sampleWait()
 	case core.TimerRetry:
 		d = n.sc.p.retryDelay(arg)
-	case core.TimerAck:
-		d = n.sc.p.AckTimeout
-	case core.TimerSubtree:
-		d = n.sc.p.SubtreeTimeout
+	case core.TimerAck, core.TimerSubtree:
+		n.armDF(key, t, arg)
+		return
 	}
 	n.sc.eng.Schedule(d, func() { n.fl.Fire(key, t, arg, n) })
+}
+
+// dfTimer is the one DF timer a node last armed for a query.
+type dfTimer struct {
+	t core.Timer
+	h sim.Handle
+}
+
+// armDF puts a DF ack or subtree timer on its lane and cancels the node's
+// previous DF timer of the same query. core.Flood keeps one live token per
+// walk, and step and ack overwrite it before they call Arm, so the
+// cancelled timer could only have fired as a no-op: only the walk's
+// current token matches on Fire, and tokens are never reused.
+func (n *node) armDF(key core.QueryKey, t core.Timer, token int) {
+	if n.dfTimers == nil {
+		n.dfTimers = make(map[core.QueryKey]dfTimer)
+	}
+	if old, ok := n.dfTimers[key]; ok {
+		n.sc.dfLane(old.t).Cancel(old.h)
+	}
+	a, b := packDF(n.id, key, t, token)
+	n.dfTimers[key] = dfTimer{t: t, h: n.sc.dfLane(t).Arm(n.sc.dfKind, a, b)}
+}
+
+// packDF packs a DF timer into a lane event's two argument words: the node
+// and the timer in a, the query key and the token in b. unpackDF reverses
+// it.
+func packDF(id radio.NodeID, key core.QueryKey, t core.Timer, token int) (uint32, uint64) {
+	if uint(id) >= 1<<24 || uint(key.Org) >= 1<<24 || uint(token) >= 1<<32 {
+		panic("manet: DF timer does not fit a lane event")
+	}
+	return uint32(id) | uint32(t)<<24, uint64(key.Org)<<40 | uint64(key.Cnt)<<32 | uint64(token)
+}
+
+func unpackDF(a uint32, b uint64) (id radio.NodeID, key core.QueryKey, t core.Timer, token int) {
+	key = core.QueryKey{Org: core.DeviceID(b >> 40), Cnt: uint8(b >> 32)}
+	return radio.NodeID(a & (1<<24 - 1)), key, core.Timer(a >> 24), int(uint32(b))
 }
 
 // Merged records a reply the originator folded in: a sample, a result

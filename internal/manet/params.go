@@ -10,6 +10,7 @@ package manet
 
 import (
 	"fmt"
+	"math"
 
 	"manetskyline/internal/aodv"
 	"manetskyline/internal/core"
@@ -240,6 +241,19 @@ func (p Params) Validate() error {
 	}
 	if p.Space <= 0 {
 		return fmt.Errorf("manet: non-positive space %g", p.Space)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"SimTime", p.SimTime}, {"SampleWait", p.SampleWait},
+		{"AckTimeout", p.AckTimeout}, {"SubtreeTimeout", p.SubtreeTimeout},
+		{"RetryBackoff", p.RetryBackoff}, {"RetryBackoffMax", p.RetryBackoffMax},
+		{"QueryDeadline", p.QueryDeadline}, {"RedistributePeriod", p.RedistributePeriod},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("manet: non-finite %s %g", f.name, f.v)
+		}
 	}
 	if p.SimTime <= 0 {
 		return fmt.Errorf("manet: non-positive sim time %g", p.SimTime)

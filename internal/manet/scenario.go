@@ -188,6 +188,26 @@ type scenario struct {
 	spans *telemetry.SpanLog
 	// except is Next's reusable copy of a walk's tried list.
 	except []radio.NodeID
+
+	// DF's ack and subtree timers fire a fixed delay after they are armed
+	// and are mostly cancelled, so each has a lane; dfKind runs one.
+	ackLane, subtreeLane *sim.Lane
+	dfKind               sim.Kind
+}
+
+// dfLane returns the lane of DF timer t.
+func (sc *scenario) dfLane(t core.Timer) *sim.Lane {
+	if t == core.TimerAck {
+		return sc.ackLane
+	}
+	return sc.subtreeLane
+}
+
+// fireDF runs a DF timer from its lane.
+func (sc *scenario) fireDF(a uint32, b uint64) {
+	id, key, t, token := unpackDF(a, b)
+	n := &sc.nodes[id]
+	n.fl.Fire(key, t, token, n)
 }
 
 // spanKey converts a query key to the telemetry span key.
@@ -255,6 +275,8 @@ func build(p Params) *scenario {
 		metrics: make(map[core.QueryKey]*QueryMetrics),
 		spans:   p.Spans,
 	}
+	sc.ackLane, sc.subtreeLane = eng.NewLane(p.AckTimeout), eng.NewLane(p.SubtreeTimeout)
+	sc.dfKind = eng.RegisterKind(sc.fireDF)
 	// Fault schedule: the injector draws from its own RNG and every hook is
 	// gated on its presence, so fault-free runs stay byte-identical.
 	if p.Faults != nil && !p.Faults.Empty() {

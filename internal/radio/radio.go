@@ -552,10 +552,11 @@ func (m *Medium) Unicast(from, to NodeID, p Payload) bool {
 	if !m.InRange(from, to) {
 		return false
 	}
-	start, airtime := m.txDelay(from, p.SizeBytes())
+	size := p.SizeBytes()
+	start, airtime := m.txDelay(from, size)
 	m.Counters.FramesSent++
 	m.Counters.Unicasts++
-	m.Counters.BytesSent += p.SizeBytes() + m.cfg.HeaderBytes
+	m.Counters.BytesSent += size + m.cfg.HeaderBytes
 	slot := m.getSlot()
 	d := &m.inflight[slot]
 	d.from = from
@@ -607,10 +608,11 @@ func (m *Medium) Broadcast(from NodeID, p Payload) int {
 	slot := m.getSlot()
 	d := &m.inflight[slot]
 	d.to = m.NeighborsInto(from, d.to)
-	start, airtime := m.txDelay(from, p.SizeBytes())
+	size := p.SizeBytes()
+	start, airtime := m.txDelay(from, size)
 	m.Counters.FramesSent++
 	m.Counters.Broadcasts++
-	m.Counters.BytesSent += p.SizeBytes() + m.cfg.HeaderBytes
+	m.Counters.BytesSent += size + m.cfg.HeaderBytes
 	nrecv := len(d.to)
 	if nrecv == 0 {
 		m.putSlot(slot)

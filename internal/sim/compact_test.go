@@ -65,7 +65,8 @@ func TestUnregisteredKindPanics(t *testing.T) {
 
 // TestSimEventZeroAllocs is the allocation regression gate for the compact
 // event path: once the queue has reached its working size, a schedule+pop
-// cycle of a registered-kind event must not allocate. This is what keeps
+// cycle of a registered-kind event must not allocate, and neither must a
+// lane's arm+cancel+pop cycle once its ring has. This is what keeps
 // the per-frame delivery path of a 30k-node flood allocation-free.
 func TestSimEventZeroAllocs(t *testing.T) {
 	e := NewEngine(1)
@@ -84,6 +85,31 @@ func TestSimEventZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("ScheduleKind+Step allocated %.1f objects/op, want 0", allocs)
+	}
+
+	// The lane cycle: arm, cancel the head, arm again, then one Step skips
+	// the cancelled head and the next runs the live one.
+	l := e.NewLane(3)
+	for i := 0; i < 64; i++ { // grow the ring to its working size
+		if h := l.Arm(k, uint32(i), uint64(i)); i%2 == 0 {
+			l.Cancel(h)
+		}
+	}
+	for e.Step() {
+	}
+	cycle := func() {
+		l.Cancel(l.Arm(k, 1, 2))
+		l.Arm(k, 3, 4)
+		e.Step()
+		e.Step()
+	}
+	cycle() // warm up
+	allocs = testing.AllocsPerRun(100, cycle)
+	if allocs != 0 {
+		t.Errorf("lane Arm+Cancel+Step allocated %.1f objects/op, want 0", allocs)
+	}
+	if e.Pending() != 0 {
+		t.Errorf("lane cycle left %d events pending", e.Pending())
 	}
 	if sink == 0 {
 		t.Fatal("handler never ran")

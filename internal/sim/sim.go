@@ -19,6 +19,12 @@
 // through a reserved kind whose argument indexes a free-listed side table,
 // so the queue stays pointer-free either way.
 //
+// A timer with one fixed delay that is usually cancelled before it fires
+// goes on a Lane instead (lane.go): a FIFO that needs no heap, because its
+// fire times never decrease, with O(1) cancel. A lane keeps one heap entry
+// for its oldest event, so Step pays nothing for it and its events run at
+// the same (time, seq) as heap events would.
+//
 // Event times remain float64 seconds. The tendermint-style gossip
 // simulators this design borrows from use int32 millisecond ticks; here the
 // golden-trace determinism gates pin every historical delivery timestamp
@@ -28,6 +34,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -54,6 +61,9 @@ type Engine struct {
 	// pointer-free.
 	funcs    []func()
 	funcFree []uint32
+
+	// lanes lists the engine's lanes, for Pending.
+	lanes []*Lane
 }
 
 // event is one queue entry: 32 bytes, no pointers.
@@ -132,10 +142,14 @@ func (e *Engine) ScheduleKind(delay float64, k Kind, a uint32, b uint64) {
 // AtKind queues a compact event at absolute simulated time t (not before
 // the current time). This is the allocation-free scheduling primitive: the
 // 32-byte event is stored by value in the pointer-free queue and dispatched
-// to the registered handler when it fires.
+// to the registered handler when it fires. A NaN or infinite t panics: it
+// has no place in the heap's order.
 func (e *Engine) AtKind(t float64, k Kind, a uint32, b uint64) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling at %g before now %g", t, e.now))
+	if !(t >= e.now && t <= math.MaxFloat64) {
+		if t < e.now {
+			panic(fmt.Sprintf("sim: scheduling at %g before now %g", t, e.now))
+		}
+		panic(fmt.Sprintf("sim: non-finite event time %g", t))
 	}
 	if int(k) >= len(e.kinds) {
 		panic(fmt.Sprintf("sim: unregistered event kind %d", k))
@@ -145,6 +159,8 @@ func (e *Engine) AtKind(t float64, k Kind, a uint32, b uint64) {
 }
 
 // Step executes the earliest pending event and reports whether one existed.
+// When that entry stands for a lane event cancelled since, Step runs
+// nothing and still reports true (see Lane.fire).
 func (e *Engine) Step() bool {
 	if len(e.queue) == 0 {
 		return false
@@ -180,8 +196,18 @@ func (e *Engine) RunAll() uint64 {
 	return e.ran - start
 }
 
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending returns the number of queued events: the heap's own plus the
+// lanes' live ones.
+func (e *Engine) Pending() int {
+	n := len(e.queue)
+	for _, l := range e.lanes {
+		n += l.live
+		if l.queued {
+			n-- // the lane's heap entry
+		}
+	}
+	return n
+}
 
 // Executed returns the total number of events run so far.
 func (e *Engine) Executed() uint64 { return e.ran }
