@@ -165,12 +165,6 @@ func (n *Network) BroadcastLocalRouted(src, orig radio.NodeID, hops int, payload
 	return n.med.Broadcast(src, &localRoutedPkt{Orig: orig, Hops: hops, Inner: payload})
 }
 
-// HasRoute reports whether src currently holds a valid route to dst
-// (useful for tests and diagnostics).
-func (n *Network) HasRoute(src, dst radio.NodeID) bool {
-	return n.nodes[src].validRoute(dst) != nil
-}
-
 // --- wire format -----------------------------------------------------------
 
 // Control packet sizes on air (RFC 3561 message formats).

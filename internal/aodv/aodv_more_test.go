@@ -13,13 +13,13 @@ func TestRouteExpiry(t *testing.T) {
 	w := build(t, tuple.Point{X: 0}, tuple.Point{X: 200}, tuple.Point{X: 400})
 	w.net.Send(0, 2, msg(1))
 	w.eng.RunAll()
-	if !w.net.HasRoute(0, 2) {
+	if !w.net.hasRoute(0, 2) {
 		t.Fatalf("route should exist after delivery")
 	}
 	// Advance past the route lifetime with no traffic.
 	w.eng.Schedule(DefaultConfig().RouteLifetime+1, func() {})
 	w.eng.RunAll()
-	if w.net.HasRoute(0, 2) {
+	if w.net.hasRoute(0, 2) {
 		t.Fatalf("route should have expired")
 	}
 	// Traffic after expiry triggers rediscovery and still delivers.
@@ -80,7 +80,7 @@ func TestRERRInvalidatesUpstreamRoute(t *testing.T) {
 	net.AddNode(teleporter{a: tuple.Point{X: 600}, b: tuple.Point{X: 9000}, jump: 5}, nil, nil)
 	net.Send(0, 2, msg(1))
 	eng.Run(4)
-	if !net.HasRoute(0, 2) {
+	if !net.hasRoute(0, 2) {
 		t.Fatalf("route should exist before the break")
 	}
 	eng.Run(10) // node 2 gone
@@ -89,7 +89,7 @@ func TestRERRInvalidatesUpstreamRoute(t *testing.T) {
 	if net.Counters.RERRSent == 0 {
 		t.Errorf("link break behind a relay should emit an RERR")
 	}
-	if net.HasRoute(0, 2) {
+	if net.hasRoute(0, 2) {
 		t.Errorf("source route should be invalidated after RERR")
 	}
 	if net.Counters.DataDropped == 0 {

@@ -9,6 +9,11 @@ import (
 	"manetskyline/internal/tuple"
 )
 
+// hasRoute reports whether src currently holds a valid route to dst.
+func (n *Network) hasRoute(src, dst radio.NodeID) bool {
+	return n.nodes[src].validRoute(dst) != nil
+}
+
 type msg int
 
 func (m msg) SizeBytes() int { return 64 }
@@ -80,7 +85,7 @@ func TestMultiHopChainDiscoveryAndDelivery(t *testing.T) {
 	if w.got[4][0].src != 0 {
 		t.Errorf("src = %d, want 0", w.got[4][0].src)
 	}
-	if !w.net.HasRoute(0, 4) {
+	if !w.net.hasRoute(0, 4) {
 		t.Errorf("source should hold a route to 4 after discovery")
 	}
 	if w.net.Counters.RREQSent == 0 || w.net.Counters.RREPSent == 0 {

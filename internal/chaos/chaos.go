@@ -4,8 +4,16 @@
 // and duplicate/reorder chaos into genuine socket behaviour — stalled
 // streams, dropped frames, delayed and duplicated deliveries — plus
 // socket-only extras (connection resets, byte-trickle) no simulator can
-// model. The same builtin plans that drive the deterministic simulator's
-// recall gates therefore also soak the supervised transport end to end.
+// model. The plan is read by the same faults.Eval the simulator's radio
+// consults, so the builtin plans that drive the deterministic simulator's
+// recall gates also soak the supervised transport end to end. The Router
+// makes every random plan draw under one lock; live runs are not replayed
+// byte for byte, so only the draws' distribution matters here.
+//
+// Soak and SoakOverload run the same fleet: a grid of tcp.Peers wired to
+// their grid neighbours through one Router, with the plan's outages
+// enacted by closing and restarting real peers, and every query scored by
+// skyline.Score against a liveness-aware oracle.
 //
 // Topology: every peer resolves its neighbours through Router.View(id),
 // which hands back per-(from,to) proxy addresses instead of real ones, so
@@ -20,7 +28,8 @@
 //	                  active; frames queue in kernel/proxy buffers and
 //	                  flow again on heal — exactly a cable cut, which TCP
 //	                  rides out unless the endpoints give up first
-//	link/region loss  frames silently vanish with the window's probability
+//	link/region loss  frames silently vanish with the window's probability,
+//	                  drawn once the link is open (faults.Eval.CutLink)
 //	duplicate         extra copies of the frame are forwarded
 //	reorder           the frame is held back while later ones overtake
 //	Extras.ResetProb  the connection is torn down (after forwarding), so
@@ -61,8 +70,8 @@ type Options struct {
 	Scale float64
 	// Positions, when set, locate nodes for region-loss evaluation.
 	Positions map[int]tuple.Point
-	// Seed drives the extras' random stream (plan loss draws use the
-	// plan's own seed via faults.Eval).
+	// Seed drives the extras' random stream, and the plan's loss and
+	// chaos draws unless the plan pins its own Seed.
 	Seed int64
 	// Extras are applied to every link on top of the plan.
 	Extras Extras
@@ -76,6 +85,7 @@ type Router struct {
 	start time.Time
 	done  chan struct{}
 
+	// rmu guards both random streams: the extras' rng and eval's.
 	rmu sync.Mutex
 	rng *rand.Rand
 
@@ -126,6 +136,19 @@ func (r *Router) chance(p float64) bool {
 	r.rmu.Lock()
 	defer r.rmu.Unlock()
 	return r.rng.Float64() < p
+}
+
+// frameFate decides one frame on from → to at plan time now, a time at
+// which the link is not severed: whether a loss window drops it, and
+// otherwise its reorder delay and how many duplicate copies follow it.
+func (r *Router) frameFate(from, to int, now float64) (drop bool, delay float64, dups int) {
+	r.rmu.Lock()
+	defer r.rmu.Unlock()
+	if r.eval.CutLink(from, to, now, r.pos(from), r.pos(to)) {
+		return true, 0, 0
+	}
+	delay, dupDelays := r.eval.TxEffects(now)
+	return false, delay, len(dupDelays)
 }
 
 // View returns the resolver peer `from` must use: lookups resolve to the

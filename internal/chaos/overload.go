@@ -11,7 +11,6 @@ import (
 	"manetskyline/internal/core"
 	"manetskyline/internal/faults"
 	"manetskyline/internal/gateway"
-	"manetskyline/internal/gen"
 	"manetskyline/internal/skyline"
 	"manetskyline/internal/tcp"
 	"manetskyline/internal/tuple"
@@ -104,119 +103,18 @@ func SoakOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	if d == 0 {
 		d = core.Unconstrained()
 	}
-	n := cfg.Grid * cfg.Grid
-	gcfg := gen.DefaultConfig(cfg.Tuples, 2, gen.Independent, cfg.Seed)
-	data := gen.Generate(gcfg)
-	parts := gen.GridPartition(data, cfg.Grid, gcfg.Space)
-	positions := make(map[int]tuple.Point, n)
-	for i := 0; i < n; i++ {
-		positions[i] = gen.CellRect(i/cfg.Grid, i%cfg.Grid, cfg.Grid, gcfg.Space).Center()
-	}
-
-	dir := tcp.NewDirectory()
-	router := NewRouter(dir, cfg.Plan, Options{
-		Scale:     cfg.Horizon / cfg.Wall.Seconds(),
-		Positions: positions,
-		Seed:      cfg.Seed,
+	f, err := newFleet(SoakConfig{
+		Grid: cfg.Grid, Tuples: cfg.Tuples, Seed: cfg.Seed, Plan: cfg.Plan,
+		Horizon: cfg.Horizon, Wall: cfg.Wall, Peer: cfg.Peer,
 	})
-	defer router.Close()
-
-	net := &soakNet{peers: make([]*tcp.Peer, n), alive: make([]bool, n)}
-	defer func() {
-		net.mu.Lock()
-		peers := append([]*tcp.Peer(nil), net.peers...)
-		net.mu.Unlock()
-		for _, p := range peers {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}()
-	spawn := func(i int) error {
-		p, err := tcp.NewPeer(core.DeviceID(i), parts[i], gcfg.Schema(), core.Under,
-			true, positions[i], router.View(core.DeviceID(i)), cfg.Peer)
-		if err != nil {
-			return fmt.Errorf("chaos: peer %d: %w", i, err)
-		}
-		r, c := i/cfg.Grid, i%cfg.Grid
-		if r > 0 {
-			p.AddNeighbor(core.DeviceID(i - cfg.Grid))
-		}
-		if r < cfg.Grid-1 {
-			p.AddNeighbor(core.DeviceID(i + cfg.Grid))
-		}
-		if c > 0 {
-			p.AddNeighbor(core.DeviceID(i - 1))
-		}
-		if c < cfg.Grid-1 {
-			p.AddNeighbor(core.DeviceID(i + 1))
-		}
-		net.peers[i] = p
-		net.alive[i] = true
-		return nil
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		if err := spawn(i); err != nil {
-			return nil, err
-		}
-	}
-
-	// Enact outages for real, exactly as Soak does.
-	scale := cfg.Horizon / cfg.Wall.Seconds()
-	var timers []*time.Timer
-	defer func() {
-		for _, t := range timers {
-			t.Stop()
-		}
-	}()
-	unstable := make(map[int]bool)
-	for _, o := range cfg.Plan.Outages {
-		o := o
-		if o.Node < 0 || o.Node >= n {
-			continue
-		}
-		unstable[o.Node] = true
-		timers = append(timers, time.AfterFunc(time.Duration(o.Start/scale*float64(time.Second)), func() {
-			net.mu.Lock()
-			p := net.peers[o.Node]
-			net.peers[o.Node] = nil
-			net.alive[o.Node] = false
-			net.mu.Unlock()
-			if p != nil {
-				p.Close()
-			}
-		}))
-		if o.End > 0 {
-			timers = append(timers, time.AfterFunc(time.Duration(o.End/scale*float64(time.Second)), func() {
-				net.mu.Lock()
-				defer net.mu.Unlock()
-				if net.peers[o.Node] == nil {
-					spawn(o.Node)
-				}
-			}))
-		}
-	}
-	entry := -1
-	for i := 0; i < n; i++ {
-		if !unstable[i] {
-			entry = i
-			break
-		}
-	}
-	if entry < 0 {
-		return nil, fmt.Errorf("chaos: plan crashes every node; no stable entry peer")
-	}
+	defer f.close()
+	entry := f.stable[0]
 
 	backend := func(req gateway.Request) (tcp.QueryResult, error) {
-		net.mu.Lock()
-		p := net.peers[entry]
-		alive := 0
-		for i := 0; i < n; i++ {
-			if net.alive[i] {
-				alive++
-			}
-		}
-		net.mu.Unlock()
+		p, alive, _ := f.snapshot(entry)
 		if p == nil {
 			return tcp.QueryResult{}, fmt.Errorf("chaos: entry peer down")
 		}
@@ -243,7 +141,7 @@ func SoakOverload(cfg OverloadConfig) (*OverloadResult, error) {
 		regions[i] = tuple.Point{X: float64(i) * 4 * 250, Y: 0}
 	}
 
-	res := &OverloadResult{Peers: n, ShedByReason: make(map[string]int), MinRecall: 1}
+	res := &OverloadResult{Peers: len(f.parts), ShedByReason: make(map[string]int), MinRecall: 1}
 	var (
 		resMu   sync.Mutex
 		wg      sync.WaitGroup
@@ -257,23 +155,7 @@ func SoakOverload(cfg OverloadConfig) (*OverloadResult, error) {
 	sent := 0
 	for now := start; !now.After(start.Add(cfg.Wall)); {
 		// Liveness-aware oracle snapshot at issue time.
-		net.mu.Lock()
-		var union []tuple.Tuple
-		seen := make(map[[2]float64]bool)
-		for i := 0; i < n; i++ {
-			if !net.alive[i] {
-				continue
-			}
-			for _, t := range parts[i] {
-				s := [2]float64{t.X, t.Y}
-				if !seen[s] {
-					seen[s] = true
-					union = append(union, t)
-				}
-			}
-		}
-		entryPos := positions[entry]
-		net.mu.Unlock()
+		_, _, union := f.snapshot(entry)
 
 		req := gateway.Request{
 			Pos:      regions[sent%len(regions)],
@@ -302,21 +184,8 @@ func SoakOverload(cfg OverloadConfig) (*OverloadResult, error) {
 				case gateway.SourceCache:
 					res.Cached++
 				}
-				truth := skyline.Constrained(union, entryPos, d)
-				bysite := make(map[[2]float64]tuple.Tuple, len(truth))
-				for _, tt := range truth {
-					bysite[[2]float64{tt.X, tt.Y}] = tt
-				}
-				matched := 0
-				for _, tt := range r.Skyline {
-					if u, ok := bysite[[2]float64{tt.X, tt.Y}]; ok && u.Equal(tt) {
-						matched++
-					}
-				}
-				recall := 1.0
-				if len(truth) > 0 {
-					recall = float64(matched) / float64(len(truth))
-				}
+				truth := skyline.Constrained(union, f.positions[entry], d)
+				recall, _ := skyline.Score(truth, r.Skyline)
 				recalls = append(recalls, recall)
 				if recall < res.MinRecall {
 					res.MinRecall = recall

@@ -128,14 +128,14 @@ func (p *linkProxy) pump(client net.Conn) {
 		if err != nil {
 			return
 		}
-		if !p.waitHealed() {
+		now, ok := p.waitHealed()
+		if !ok {
 			return
 		}
-		now := p.r.now()
-		if p.r.eval.DropFrame(p.from, p.to, now, p.r.pos(p.from), p.r.pos(p.to)) {
+		drop, delay, dups := p.r.frameFate(p.from, p.to, now)
+		if drop {
 			continue
 		}
-		delay, dups := p.r.eval.FrameEffects(now)
 		wallDelay := p.r.wallFor(delay) + p.r.opts.Extras.Latency
 		if wallDelay > 0 {
 			hdr, body := hdr, body
@@ -177,12 +177,13 @@ func (p *linkProxy) pump(client net.Conn) {
 
 // waitHealed blocks while the link is severed (outage or partition), letting
 // frames queue rather than vanish — a severed TCP path loses no data unless
-// an endpoint gives up. Returns false when the router shuts down first.
-func (p *linkProxy) waitHealed() bool {
+// an endpoint gives up. It returns the plan time at which it found the link
+// open, or false when the router shuts down first.
+func (p *linkProxy) waitHealed() (float64, bool) {
 	for {
 		now := p.r.now()
 		if !p.r.eval.Severed(p.from, p.to, now) {
-			return true
+			return now, true
 		}
 		until, forever := p.r.eval.SeveredUntil(p.from, p.to, now)
 		wait := 100 * time.Millisecond
@@ -193,7 +194,7 @@ func (p *linkProxy) waitHealed() bool {
 		}
 		select {
 		case <-p.r.done:
-			return false
+			return 0, false
 		case <-time.After(wait):
 		}
 	}

@@ -7,11 +7,9 @@ import (
 
 	"manetskyline/internal/core"
 	"manetskyline/internal/faults"
-	"manetskyline/internal/gen"
 	"manetskyline/internal/skyline"
 	"manetskyline/internal/tcp"
 	"manetskyline/internal/telemetry"
-	"manetskyline/internal/tuple"
 )
 
 // SoakConfig describes one live-socket soak: a grid of real tcp.Peers wired
@@ -106,14 +104,6 @@ func (s *SoakResult) Completed() int {
 	return n
 }
 
-// soakNet guards the mutable fleet state shared between the query loop and
-// the outage timers.
-type soakNet struct {
-	mu    sync.Mutex
-	peers []*tcp.Peer
-	alive []bool
-}
-
 // Soak runs the scenario. The oracle is liveness-aware: each query's ground
 // truth is the constrained skyline over the union of the datasets of peers
 // alive at issue time — a crashed device's tuples are gone and no protocol
@@ -129,126 +119,13 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 	if d == 0 {
 		d = core.Unconstrained()
 	}
-	n := cfg.Grid * cfg.Grid
-	gcfg := gen.DefaultConfig(cfg.Tuples, 2, gen.Independent, cfg.Seed)
-	data := gen.Generate(gcfg)
-	parts := gen.GridPartition(data, cfg.Grid, gcfg.Space)
-	positions := make(map[int]tuple.Point, n)
-	for i := 0; i < n; i++ {
-		positions[i] = gen.CellRect(i/cfg.Grid, i%cfg.Grid, cfg.Grid, gcfg.Space).Center()
+	f, err := newFleet(cfg)
+	if err != nil {
+		return nil, err
 	}
+	defer f.close()
 
-	dir := tcp.NewDirectory()
-	router := NewRouter(dir, cfg.Plan, Options{
-		Scale:     cfg.Horizon / cfg.Wall.Seconds(),
-		Positions: positions,
-		Seed:      cfg.Seed,
-		Extras:    cfg.Extras,
-	})
-	defer router.Close()
-
-	net := &soakNet{peers: make([]*tcp.Peer, n), alive: make([]bool, n)}
-	defer func() {
-		net.mu.Lock()
-		peers := append([]*tcp.Peer(nil), net.peers...)
-		net.mu.Unlock()
-		for _, p := range peers {
-			if p != nil {
-				p.Close()
-			}
-		}
-	}()
-
-	var spanLogs []*telemetry.SpanLog
-	if cfg.Trace {
-		spanLogs = make([]*telemetry.SpanLog, n)
-		for i := range spanLogs {
-			spanLogs[i] = telemetry.NewSpanLog()
-		}
-	}
-
-	spawn := func(i int) error {
-		pcfg := cfg.Peer
-		if cfg.Trace {
-			pcfg.Spans = spanLogs[i]
-		}
-		pcfg.Flight = cfg.Flight
-		p, err := tcp.NewPeer(core.DeviceID(i), parts[i], gcfg.Schema(), core.Under,
-			true, positions[i], router.View(core.DeviceID(i)), pcfg)
-		if err != nil {
-			return fmt.Errorf("chaos: peer %d: %w", i, err)
-		}
-		r, c := i/cfg.Grid, i%cfg.Grid
-		if r > 0 {
-			p.AddNeighbor(core.DeviceID(i - cfg.Grid))
-		}
-		if r < cfg.Grid-1 {
-			p.AddNeighbor(core.DeviceID(i + cfg.Grid))
-		}
-		if c > 0 {
-			p.AddNeighbor(core.DeviceID(i - 1))
-		}
-		if c < cfg.Grid-1 {
-			p.AddNeighbor(core.DeviceID(i + 1))
-		}
-		net.peers[i] = p
-		net.alive[i] = true
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		if err := spawn(i); err != nil {
-			return nil, err
-		}
-	}
-
-	// Enact outages for real: close the peer when its window opens (its
-	// heartbeats stop and the lease decays honestly) and restart it — new
-	// port, same identity and data — when a bounded window closes.
-	scale := cfg.Horizon / cfg.Wall.Seconds()
-	var timers []*time.Timer
-	defer func() {
-		for _, t := range timers {
-			t.Stop()
-		}
-	}()
-	unstable := make(map[int]bool)
-	for _, o := range cfg.Plan.Outages {
-		o := o
-		if o.Node < 0 || o.Node >= n {
-			continue
-		}
-		unstable[o.Node] = true
-		timers = append(timers, time.AfterFunc(time.Duration(o.Start/scale*float64(time.Second)), func() {
-			net.mu.Lock()
-			p := net.peers[o.Node]
-			net.peers[o.Node] = nil
-			net.alive[o.Node] = false
-			net.mu.Unlock()
-			if p != nil {
-				p.Close()
-			}
-		}))
-		if o.End > 0 {
-			timers = append(timers, time.AfterFunc(time.Duration(o.End/scale*float64(time.Second)), func() {
-				net.mu.Lock()
-				defer net.mu.Unlock()
-				if net.peers[o.Node] == nil {
-					spawn(o.Node)
-				}
-			}))
-		}
-	}
-	var stable []int
-	for i := 0; i < n; i++ {
-		if !unstable[i] {
-			stable = append(stable, i)
-		}
-	}
-	if len(stable) == 0 {
-		return nil, fmt.Errorf("chaos: plan crashes every node; no stable originator")
-	}
-
-	res := &SoakResult{Peers: n}
+	res := &SoakResult{Peers: len(f.parts)}
 	var (
 		resMu  sync.Mutex
 		wg     sync.WaitGroup
@@ -263,26 +140,8 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 		if issued >= cfg.Wall {
 			break
 		}
-		net.mu.Lock()
-		org := stable[turn%len(stable)]
-		p := net.peers[org]
-		aliveCount := 0
-		var union []tuple.Tuple
-		seen := make(map[[2]float64]bool)
-		for i := 0; i < n; i++ {
-			if !net.alive[i] {
-				continue
-			}
-			aliveCount++
-			for _, t := range parts[i] {
-				s := [2]float64{t.X, t.Y}
-				if !seen[s] {
-					seen[s] = true
-					union = append(union, t)
-				}
-			}
-		}
-		net.mu.Unlock()
+		org := f.stable[turn%len(f.stable)]
+		p, alive, union := f.snapshot(org)
 		if p == nil {
 			continue
 		}
@@ -292,30 +151,16 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 			var qr tcp.QueryResult
 			var err error
 			if cfg.SF {
-				qr, err = p.QuerySF(d, aliveCount)
+				qr, err = p.QuerySF(d, alive)
 			} else {
-				qr, err = p.Query(d, aliveCount)
+				qr, err = p.Query(d, alive)
 			}
 			truth := skyline.Constrained(union, p.Pos(), d)
 			out := QueryOutcome{
 				Org: org, Issued: issued, Err: err,
 				Complete: qr.Complete, Results: qr.Results, Truth: len(truth),
 			}
-			bysite := make(map[[2]float64]tuple.Tuple, len(truth))
-			for _, t := range truth {
-				bysite[[2]float64{t.X, t.Y}] = t
-			}
-			matched := 0
-			for _, t := range qr.Skyline {
-				if u, ok := bysite[[2]float64{t.X, t.Y}]; ok && u.Equal(t) {
-					matched++
-				}
-			}
-			if len(truth) == 0 {
-				out.Recall = 1
-			} else {
-				out.Recall = float64(matched) / float64(len(truth))
-			}
+			out.Recall, _ = skyline.Score(truth, qr.Skyline)
 			if cfg.Flight != nil && cfg.RecallTrigger > 0 && out.Recall < cfg.RecallTrigger {
 				cfg.Flight.Record(telemetry.FlightEvent{
 					Kind: "recall_miss", Peer: int32(org),
@@ -336,7 +181,7 @@ func Soak(cfg SoakConfig) (*SoakResult, error) {
 		}()
 	}
 	wg.Wait()
-	for _, l := range spanLogs {
+	for _, l := range f.spans {
 		res.Spans = append(res.Spans, l.Spans()...)
 	}
 	return res, nil

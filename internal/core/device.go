@@ -38,7 +38,9 @@ type Device struct {
 	// Met is the device's telemetry surface; the zero value disables it.
 	Met Metrics
 
-	nextCnt uint8
+	// nextCnt counts minted queries; it is atomic because a live peer
+	// originates concurrent queries. Cnt is its low byte (§3.4).
+	nextCnt atomic.Uint32
 	// scan memoizes the Figure 4 scan over Rel; see evaluate.
 	scan atomic.Pointer[scanMemo]
 }
@@ -72,8 +74,7 @@ func (d *Device) VDRFunc() localsky.VDRFunc {
 // NewQuery mints a fresh query originating at this device, incrementing the
 // byte counter of §3.4.
 func (d *Device) NewQuery(pos tuple.Point, dist float64) Query {
-	d.nextCnt++
-	return Query{Org: d.ID, Cnt: d.nextCnt, Pos: pos, D: dist}
+	return Query{Org: d.ID, Cnt: uint8(d.nextCnt.Add(1)), Pos: pos, D: dist}
 }
 
 // Originate runs the originator's side of query issue: the local skyline

@@ -206,3 +206,31 @@ func TestProcessConcurrentOnOneDevice(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// A live peer originates concurrent queries on one device (a gateway runs
+// several backend executions at once), so each must get its own counter;
+// run under -race.
+func TestNewQueryConcurrentCountersDistinct(t *testing.T) {
+	d := NewDevice(1, nil, tuple.NewSchema(2, 0, 1), Under, true)
+	const goroutines, each = 8, 16 // 128 queries: no counter wraps
+	cnts := make(chan uint8, goroutines*each)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				cnts <- d.NewQuery(tuple.Point{}, 100).Cnt
+			}
+		}()
+	}
+	wg.Wait()
+	close(cnts)
+	seen := map[uint8]bool{}
+	for c := range cnts {
+		if seen[c] {
+			t.Fatalf("two queries share counter %d", c)
+		}
+		seen[c] = true
+	}
+}

@@ -2,30 +2,53 @@ package faults
 
 import (
 	"math/rand"
-	"sync"
 
 	"manetskyline/internal/tuple"
 )
 
-// Eval answers "what does this plan do to the link from → to at time now?"
-// for consumers that run outside the discrete-event simulator — most
-// importantly the live-socket chaos proxy (internal/chaos), which maps wall
-// clock onto plan time. Unlike Injector it has no radio/sim dependencies,
-// is safe for concurrent use, and draws loss decisions from its own locked
-// stream (live runs are not replayed byte-for-byte, so per-call determinism
-// is not required — only distribution fidelity).
-type Eval struct {
-	plan *Plan
-
-	mu  sync.Mutex
-	rng *rand.Rand
-
-	outagesByNode map[int][]Window
-	groups        []map[int]int
+// Stats tallies what an evaluator did to a run, by cause.
+type Stats struct {
+	// OutageDrops counts frames silenced because an endpoint was down.
+	OutageDrops int
+	// LinkDrops, RegionDrops, and PartitionDrops count frames removed by the
+	// corresponding schedules.
+	LinkDrops      int
+	RegionDrops    int
+	PartitionDrops int
+	// Duplicated counts extra frame copies scheduled; Reordered counts
+	// frames whose delivery was postponed.
+	Duplicated int
+	Reordered  int
 }
 
-// NewEval builds an evaluator for the plan. The seed feeds the private
-// random stream when the plan does not pin its own.
+// Eval answers "what does this plan do to the frame from → to at time
+// now?" for both tiers: the simulator's radio medium consults it through
+// radio.FaultInjector, and the live chaos proxies map wall clock onto plan
+// time and ask it the same questions. Every random decision comes from one
+// private seeded stream, in a fixed order, so a simulated run replays
+// bit-identically for the same (plan, seed) pair.
+//
+// Eval is not safe for concurrent use. NodeDown, Severed and SeveredUntil
+// are the exception: they draw nothing and write nothing.
+type Eval struct {
+	plan *Plan
+	rng  *rand.Rand
+
+	// outagesByNode indexes outage windows for O(k) NodeDown checks under
+	// churn plans with many outages.
+	outagesByNode map[int][]Window
+	// groups[i] maps node → group index + 1 for plan.Partitions[i], so an
+	// unlisted node reads 0: the implicit extra group.
+	groups []map[int]int
+
+	dupScratch []float64
+
+	// Stats is exported for assertions and reports.
+	Stats Stats
+}
+
+// NewEval builds the evaluator for a plan. The seed feeds the private
+// random stream unless the plan pins its own.
 func NewEval(p *Plan, seed int64) *Eval {
 	if p.Seed != 0 {
 		seed = p.Seed
@@ -42,16 +65,13 @@ func NewEval(p *Plan, seed int64) *Eval {
 		m := make(map[int]int)
 		for g, nodes := range pt.Groups {
 			for _, n := range nodes {
-				m[n] = g
+				m[n] = g + 1
 			}
 		}
 		e.groups = append(e.groups, m)
 	}
 	return e
 }
-
-// Plan returns the schedule the evaluator answers for.
-func (e *Eval) Plan() *Plan { return e.plan }
 
 // NodeDown reports whether the node sits inside an outage window at now.
 func (e *Eval) NodeDown(node int, now float64) bool {
@@ -63,26 +83,20 @@ func (e *Eval) NodeDown(node int, now float64) bool {
 	return false
 }
 
+// split reports whether partition i puts from and to in different groups,
+// whether or not the partition is active.
+func (e *Eval) split(i, from, to int) bool {
+	return e.groups[i][from] != e.groups[i][to]
+}
+
 // Severed reports whether a partition (or an endpoint outage) blocks the
-// link from → to at now. Deterministic: no random draw is consumed.
+// link from → to at now.
 func (e *Eval) Severed(from, to int, now float64) bool {
 	if e.NodeDown(from, now) || e.NodeDown(to, now) {
 		return true
 	}
 	for i, pt := range e.plan.Partitions {
-		if !pt.Active(now) {
-			continue
-		}
-		m := e.groups[i]
-		gf, okf := m[from]
-		gt, okt := m[to]
-		if !okf {
-			gf = -1
-		}
-		if !okt {
-			gt = -1
-		}
-		if gf != gt {
+		if pt.Active(now) && e.split(i, from, to) {
 			return true
 		}
 	}
@@ -111,29 +125,30 @@ func (e *Eval) SeveredUntil(from, to int, now float64) (until float64, forever b
 		extend(w)
 	}
 	for i, pt := range e.plan.Partitions {
-		m := e.groups[i]
-		gf, okf := m[from]
-		gt, okt := m[to]
-		if !okf {
-			gf = -1
-		}
-		if !okt {
-			gt = -1
-		}
-		if gf != gt {
+		if e.split(i, from, to) {
 			extend(pt.Window)
 		}
 	}
 	return until, forever
 }
 
-// DropFrame decides whether probabilistic loss (link or region windows)
-// removes one frame on from → to at now. Endpoint positions feed region
-// loss; pass zero points when positions are unknown (region loss then only
-// fires for regions containing the origin).
-func (e *Eval) DropFrame(from, to int, now float64, fromPos, toPos tuple.Point) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// CutLink decides, at delivery time, whether the frame from → to must be
+// removed by the schedule: a downed receiver silences the frame, partitions
+// sever deterministically, and link and region loss windows draw from the
+// private stream. Endpoint positions feed region loss. The sender's
+// liveness is not re-checked here — it was checked at transmit time, and a
+// frame already in flight when its sender goes down still arrives.
+func (e *Eval) CutLink(from, to int, now float64, fromPos, toPos tuple.Point) bool {
+	if e.NodeDown(to, now) {
+		e.Stats.OutageDrops++
+		return true
+	}
+	for i, pt := range e.plan.Partitions {
+		if pt.Active(now) && e.split(i, from, to) {
+			e.Stats.PartitionDrops++
+			return true
+		}
+	}
 	for _, l := range e.plan.LinkLoss {
 		match := (l.From == from && l.To == to) ||
 			(l.Bidirectional && l.From == to && l.To == from)
@@ -141,6 +156,7 @@ func (e *Eval) DropFrame(from, to int, now float64, fromPos, toPos tuple.Point) 
 			continue
 		}
 		if l.Prob >= 1 || e.rng.Float64() < l.Prob {
+			e.Stats.LinkDrops++
 			return true
 		}
 	}
@@ -152,30 +168,46 @@ func (e *Eval) DropFrame(from, to int, now float64, fromPos, toPos tuple.Point) 
 			continue
 		}
 		if r.Prob >= 1 || e.rng.Float64() < r.Prob {
+			e.Stats.RegionDrops++
 			return true
 		}
 	}
 	return false
 }
 
-// FrameEffects draws the chaos perturbations for one frame at now: delay is
-// the extra seconds to hold the frame (reordering it past its successors)
-// and dups is how many extra copies to deliver.
-func (e *Eval) FrameEffects(now float64) (delay float64, dups int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// dupSpread is the default spacing of duplicated copies when a Duplicate
+// window does not set MaxDelay: tight enough to land amid the original
+// frame's contemporaries, nonzero so copies occupy distinct event slots.
+const dupSpread = 0.005
+
+// TxEffects perturbs one transmission at now: extraDelay postpones the
+// nominal delivery (reordering it past later frames) and each entry of
+// dupDelays schedules one duplicate copy that many seconds after the
+// (postponed) delivery. The returned slice is reused across calls.
+func (e *Eval) TxEffects(now float64) (extraDelay float64, dupDelays []float64) {
 	for _, c := range e.plan.Reorder {
 		if c.Active(now) && e.rng.Float64() < c.Prob {
-			delay += e.rng.Float64() * c.MaxDelay
+			extraDelay += e.rng.Float64() * c.MaxDelay
+			e.Stats.Reordered++
 		}
 	}
+	e.dupScratch = e.dupScratch[:0]
 	for _, c := range e.plan.Duplicate {
-		if c.Active(now) && e.rng.Float64() < c.Prob {
-			dups++
-			if c.MaxExtra > 1 {
-				dups += e.rng.Intn(c.MaxExtra)
-			}
+		if !c.Active(now) || e.rng.Float64() >= c.Prob {
+			continue
+		}
+		extra := 1
+		if c.MaxExtra > 1 {
+			extra += e.rng.Intn(c.MaxExtra)
+		}
+		spread := c.MaxDelay
+		if spread <= 0 {
+			spread = dupSpread
+		}
+		for i := 0; i < extra; i++ {
+			e.dupScratch = append(e.dupScratch, e.rng.Float64()*spread)
+			e.Stats.Duplicated++
 		}
 	}
-	return delay, dups
+	return extraDelay, e.dupScratch
 }

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"sync"
 	"testing"
 
 	"manetskyline/internal/tuple"
@@ -73,7 +72,7 @@ func TestEvalSeveredUntil(t *testing.T) {
 	}
 }
 
-func TestEvalDropFrameAndEffects(t *testing.T) {
+func TestEvalCutLinkAndTxEffects(t *testing.T) {
 	p := &Plan{
 		LinkLoss: []LinkLoss{{
 			Window: Window{Start: 0, End: 10}, From: 0, To: 1, Prob: 1,
@@ -86,44 +85,27 @@ func TestEvalDropFrameAndEffects(t *testing.T) {
 		Reorder:   []Chaos{{Window: Window{Start: 0, End: 10}, Prob: 1, MaxDelay: 2}},
 	}
 	e := NewEval(p, 7)
-	if !e.DropFrame(0, 1, 5, tuple.Point{X: 500, Y: 500}, tuple.Point{X: 500, Y: 500}) {
+	far := tuple.Point{X: 500, Y: 500}
+	if !e.CutLink(0, 1, 5, far, far) {
 		t.Errorf("prob-1 link loss should drop")
 	}
-	if e.DropFrame(1, 0, 5, tuple.Point{X: 500, Y: 500}, tuple.Point{X: 500, Y: 500}) {
+	if e.CutLink(1, 0, 5, far, far) {
 		t.Errorf("unidirectional loss should not drop the reverse link")
 	}
-	if !e.DropFrame(2, 3, 5, tuple.Point{X: 50, Y: 50}, tuple.Point{X: 500, Y: 500}) {
+	if !e.CutLink(2, 3, 5, tuple.Point{X: 50, Y: 50}, far) {
 		t.Errorf("prob-1 region loss should drop frames from inside the region")
 	}
-	if e.DropFrame(0, 1, 50, tuple.Point{}, tuple.Point{}) {
+	if e.CutLink(0, 1, 50, tuple.Point{}, tuple.Point{}) {
 		t.Errorf("nothing should drop outside every window")
 	}
-	delay, dups := e.FrameEffects(5)
+	if e.Stats.LinkDrops != 1 || e.Stats.RegionDrops != 1 {
+		t.Errorf("drops not tallied by cause: %+v", e.Stats)
+	}
+	delay, dups := e.TxEffects(5)
 	if delay <= 0 || delay > 2 {
 		t.Errorf("prob-1 reorder should delay within (0,2], got %g", delay)
 	}
-	if dups != 1 {
-		t.Errorf("prob-1 duplicate with MaxExtra 1 should add one copy, got %d", dups)
+	if len(dups) != 1 {
+		t.Errorf("prob-1 duplicate with MaxExtra 1 should add one copy, got %d", len(dups))
 	}
-}
-
-func TestEvalConcurrentUse(t *testing.T) {
-	p, err := Named("chaos", 9, 10)
-	if err != nil {
-		t.Fatalf("Named: %v", err)
-	}
-	e := NewEval(p, 3)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 500; j++ {
-				e.DropFrame(0, 1, 5, tuple.Point{}, tuple.Point{})
-				e.FrameEffects(5)
-				e.Severed(0, 1, 5)
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -1,17 +1,19 @@
-// Package faults provides scriptable, seed-deterministic fault injection
-// for the MANET simulation: timed per-link and per-region loss windows,
-// node outage churn (crash, pause, reboot), network partitions, and frame
-// duplication/reordering. A Plan declares the schedule; an Injector applies
-// it through the hook points of internal/radio without touching the
-// medium's own random stream, so fault-free runs stay byte-identical to
-// their goldens and fault runs are bit-deterministic for a given
-// (plan, scenario seed) pair.
+// Package faults provides scriptable, seed-deterministic fault injection:
+// timed per-link and per-region loss windows, node outage churn (crash,
+// pause, reboot), network partitions, and frame duplication/reordering. A
+// Plan declares the schedule; one evaluator, Eval, applies it on both
+// tiers. The simulator's radio medium consults it through its fault hooks,
+// without touching the medium's own random stream, so fault-free runs stay
+// byte-identical to their goldens and fault runs are bit-deterministic for
+// a given (plan, seed) pair. The live chaos proxies (internal/chaos) ask
+// the same evaluator the same questions on a wall clock mapped onto plan
+// time.
 //
 // The design follows the graceful-degradation framing of distributed
 // skyline monitoring over mobile things: the question is never only "does
 // the protocol survive?" but "how much of the true skyline does a degraded
-// run still return?" — the recall oracle in internal/manet closes that
-// loop against these schedules.
+// run still return?" — skyline.Score answers it against these schedules on
+// both tiers.
 package faults
 
 import (
@@ -99,12 +101,34 @@ type Chaos struct {
 	MaxDelay float64 `json:"max_delay,omitempty"`
 }
 
+// maxCopies bounds Chaos.MaxExtra: 802.11's default short retry limit, the
+// most copies a link layer makes of one frame.
+const maxCopies = 7
+
+// validate checks one duplicate or reorder window, named what in errors.
+func (c Chaos) validate(what string) error {
+	if err := c.Window.validate(what); err != nil {
+		return err
+	}
+	if c.Prob <= 0 || c.Prob > 1 {
+		return fmt.Errorf("faults: %s probability %g outside (0,1]", what, c.Prob)
+	}
+	if c.MaxExtra < 0 || c.MaxExtra > maxCopies {
+		return fmt.Errorf("faults: %s max_extra %d outside [0,%d]", what, c.MaxExtra, maxCopies)
+	}
+	if c.MaxDelay < 0 {
+		return fmt.Errorf("faults: %s negative max delay %g", what, c.MaxDelay)
+	}
+	return nil
+}
+
 // Plan is one named, serializable fault schedule.
 type Plan struct {
 	Name string `json:"name,omitempty"`
-	// Seed drives the injector's private random stream; zero derives it
-	// from the scenario seed, so the same plan under different scenario
-	// seeds draws different (but still reproducible) loss patterns.
+	// Seed drives the evaluator's private random stream; zero means the
+	// seed NewEval is given, which the simulator derives from the scenario
+	// seed, so the same plan under different scenario seeds draws
+	// different (but still reproducible) loss patterns.
 	Seed       int64        `json:"seed,omitempty"`
 	LinkLoss   []LinkLoss   `json:"link_loss,omitempty"`
 	RegionLoss []RegionLoss `json:"region_loss,omitempty"`
@@ -186,15 +210,14 @@ func (p *Plan) Validate(numNodes int) error {
 			}
 		}
 	}
-	for i, c := range append(append([]Chaos(nil), p.Duplicate...), p.Reorder...) {
-		if err := c.validate("chaos"); err != nil {
+	for i, c := range p.Duplicate {
+		if err := c.validate(fmt.Sprintf("duplicate[%d]", i)); err != nil {
 			return err
 		}
-		if c.Prob <= 0 || c.Prob > 1 {
-			return fmt.Errorf("faults: chaos[%d] probability %g outside (0,1]", i, c.Prob)
-		}
-		if c.MaxDelay < 0 {
-			return fmt.Errorf("faults: chaos[%d] negative max delay %g", i, c.MaxDelay)
+	}
+	for i, c := range p.Reorder {
+		if err := c.validate(fmt.Sprintf("reorder[%d]", i)); err != nil {
+			return err
 		}
 	}
 	return nil

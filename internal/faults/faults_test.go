@@ -4,15 +4,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"manetskyline/internal/radio"
 	"manetskyline/internal/tuple"
 )
 
-// nid and pt shorten injector-hook arguments in assertions.
-func nid(n int) radio.NodeID { return radio.NodeID(n) }
-func pt() tuple.Point        { return tuple.Point{} }
+// pt shortens the position arguments of CutLink in assertions.
+func pt() tuple.Point { return tuple.Point{} }
 
 func TestWindowActive(t *testing.T) {
 	cases := []struct {
@@ -150,12 +149,15 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// The TestInjector tests check Eval in its role as the simulator's
+// radio.FaultInjector.
+
 func TestInjectorOutageWindows(t *testing.T) {
 	p := &Plan{Outages: []Outage{
 		{Window: Window{Start: 100, End: 200}, Node: 3},
 		{Window: Window{Start: 300}, Node: 3}, // crash for good
 	}}
-	in := NewInjector(p, 1)
+	in := NewEval(p, 1)
 	cases := []struct {
 		now  float64
 		want bool
@@ -175,9 +177,9 @@ func TestInjectorPartitionDeterministic(t *testing.T) {
 		Window: Window{Start: 0, End: 100},
 		Groups: [][]int{{0, 1}, {2, 3}},
 	}}}
-	in := NewInjector(p, 1)
+	in := NewEval(p, 1)
 	cut := func(a, b int, now float64) bool {
-		return in.CutLink(nid(a), nid(b), now, pt(), pt())
+		return in.CutLink(a, b, now, pt(), pt())
 	}
 	if cut(0, 1, 50) {
 		t.Errorf("same-group link severed")
@@ -206,7 +208,7 @@ func TestInjectorLossSeedDeterminism(t *testing.T) {
 		Window: Window{Start: 0}, From: 0, To: 1, Bidirectional: true, Prob: 0.5,
 	}}}
 	run := func(seed int64) []bool {
-		in := NewInjector(p, seed)
+		in := NewEval(p, seed)
 		out := make([]bool, 64)
 		for i := range out {
 			out[i] = in.CutLink(0, 1, float64(i), pt(), pt())
@@ -231,7 +233,7 @@ func TestInjectorLossSeedDeterminism(t *testing.T) {
 		t.Errorf("different scenario seeds produced identical loss patterns")
 	}
 	// Bidirectional: the reverse direction is also lossy (statistically).
-	in := NewInjector(p, 9)
+	in := NewEval(p, 9)
 	drops := 0
 	for i := 0; i < 64; i++ {
 		if in.CutLink(1, 0, float64(i), pt(), pt()) {
@@ -248,10 +250,10 @@ func TestTxEffects(t *testing.T) {
 		Duplicate: []Chaos{{Window: Window{Start: 0}, Prob: 1, MaxExtra: 3}},
 		Reorder:   []Chaos{{Window: Window{Start: 0}, Prob: 1, MaxDelay: 2}},
 	}
-	in := NewInjector(p, 5)
+	in := NewEval(p, 5)
 	sawDup := false
 	for i := 0; i < 32; i++ {
-		extra, dups := in.TxEffects(0, float64(i))
+		extra, dups := in.TxEffects(float64(i))
 		if extra < 0 || extra > 2 {
 			t.Fatalf("reorder delay %g outside [0,2]", extra)
 		}
@@ -268,11 +270,97 @@ func TestTxEffects(t *testing.T) {
 	if in.Stats.Duplicated == 0 || in.Stats.Reordered == 0 {
 		t.Errorf("chaos stats not tallied: %+v", in.Stats)
 	}
-	// Outside every window the injector is a no-op that draws nothing.
-	quiet := NewInjector(&Plan{
+	// Outside every window the evaluator is a no-op that draws nothing.
+	quiet := NewEval(&Plan{
 		Duplicate: []Chaos{{Window: Window{Start: 100, End: 200}, Prob: 1}},
 	}, 5)
-	if extra, dups := quiet.TxEffects(0, 50); extra != 0 || len(dups) != 0 {
+	if extra, dups := quiet.TxEffects(50); extra != 0 || len(dups) != 0 {
 		t.Errorf("inactive window perturbed a transmission")
 	}
+}
+
+// TestPlanValidateJSON runs Validate over plans as they arrive from a
+// -faults file, and checks each error names the offending entry.
+func TestPlanValidateJSON(t *testing.T) {
+	for _, c := range []struct {
+		name, json string
+		wantErr    string // "" means the plan must validate
+	}{
+		{"dup max_extra at the bound", `{"duplicate":[{"start":0,"prob":1,"max_extra":7}]}`, ""},
+		{"dup max_extra zero", `{"duplicate":[{"start":0,"prob":0.5}]}`, ""},
+		{"dup max_extra huge", `{"name":"huge","duplicate":[{"start":0,"prob":1,"max_extra":1000000}]}`, "duplicate[0] max_extra 1000000"},
+		{"dup max_extra above the bound", `{"duplicate":[{"start":0,"prob":1,"max_extra":8}]}`, "duplicate[0] max_extra 8"},
+		{"dup max_extra negative", `{"duplicate":[{"start":0,"prob":1,"max_extra":-1}]}`, "duplicate[0] max_extra -1"},
+		{"second dup window", `{"duplicate":[{"start":0,"prob":1},{"start":0,"prob":2}]}`, "duplicate[1] probability 2"},
+		{"reorder after a dup window", `{"duplicate":[{"start":0,"prob":1}],"reorder":[{"start":0,"prob":0.5,"max_delay":-1}]}`, "reorder[0] negative max delay"},
+		{"reorder empty window", `{"reorder":[{"start":5,"end":5,"prob":0.5}]}`, "reorder[0] window [5,5) is empty"},
+		{"reorder zero prob", `{"reorder":[{"start":0,"max_delay":1}]}`, "reorder[0] probability 0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := ParseJSON([]byte(c.json))
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = p.Validate(9)
+			switch {
+			case c.wantErr == "" && err != nil:
+				t.Errorf("valid plan rejected: %v", err)
+			case c.wantErr != "" && err == nil:
+				t.Errorf("plan accepted, want error containing %q", c.wantErr)
+			case c.wantErr != "" && !strings.Contains(err.Error(), c.wantErr):
+				t.Errorf("error %q does not contain %q", err, c.wantErr)
+			}
+		})
+	}
+}
+
+// FuzzPlanJSON feeds any plan that parses and validates to the evaluator
+// and calls both drawing methods at every window edge: nothing may panic,
+// and no duplicate window may add more than maxCopies copies.
+func FuzzPlanJSON(f *testing.F) {
+	f.Add([]byte(`{"name":"huge","duplicate":[{"start":0,"prob":1,"max_extra":1000000}]}`))
+	for _, name := range PlanNames() {
+		p, err := Named(name, 9, 1800)
+		if err != nil {
+			f.Fatal(err)
+		}
+		b, err := json.Marshal(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := ParseJSON(b)
+		if err != nil || p.Validate(9) != nil {
+			return
+		}
+		var windows []Window
+		for _, l := range p.LinkLoss {
+			windows = append(windows, l.Window)
+		}
+		for _, r := range p.RegionLoss {
+			windows = append(windows, r.Window)
+		}
+		for _, o := range p.Outages {
+			windows = append(windows, o.Window)
+		}
+		for _, pt := range p.Partitions {
+			windows = append(windows, pt.Window)
+		}
+		for _, c := range append(append([]Chaos(nil), p.Duplicate...), p.Reorder...) {
+			windows = append(windows, c.Window)
+		}
+		e := NewEval(p, 1)
+		for _, w := range windows {
+			for _, now := range []float64{w.Start, w.End} {
+				for n := 0; n < 9; n++ {
+					e.CutLink(n, (n+1)%9, now, tuple.Point{X: now}, tuple.Point{Y: now})
+				}
+				if _, dups := e.TxEffects(now); len(dups) > maxCopies*len(p.Duplicate) {
+					t.Fatalf("%d copies from %d duplicate windows", len(dups), len(p.Duplicate))
+				}
+			}
+		}
+	})
 }

@@ -38,7 +38,7 @@ func (n *node) maybeIssue() {
 		return
 	}
 	// A crashed or paused device cannot originate.
-	if n.sc.inj != nil && n.sc.inj.NodeDown(n.id, n.sc.eng.Now()) {
+	if n.sc.inj != nil && n.sc.inj.NodeDown(int(n.id), n.sc.eng.Now()) {
 		n.sc.skipped++
 		return
 	}

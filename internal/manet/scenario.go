@@ -83,8 +83,8 @@ type Outcome struct {
 	DeviceTuples [][]tuple.Tuple
 	// Spans is a snapshot of Params.Spans at the end of the run.
 	Spans []*telemetry.Span
-	// Faults holds the injector's drop/duplication tallies when a fault
-	// plan was attached.
+	// Faults holds the fault evaluator's drop/duplication tallies when a
+	// fault plan was attached.
 	Faults faults.Stats
 	// RecallComputed reports that Params.Recall populated the per-query
 	// Recall/Precision fields.
@@ -183,7 +183,7 @@ type scenario struct {
 	done    []*QueryMetrics
 	skipped int
 	redist  redistributionState
-	inj     *faults.Injector
+	inj     *faults.Eval
 
 	spans *telemetry.SpanLog
 	// except is Next's reusable copy of a walk's tried list.
@@ -277,10 +277,12 @@ func build(p Params) *scenario {
 	}
 	sc.ackLane, sc.subtreeLane = eng.NewLane(p.AckTimeout), eng.NewLane(p.SubtreeTimeout)
 	sc.dfKind = eng.RegisterKind(sc.fireDF)
-	// Fault schedule: the injector draws from its own RNG and every hook is
-	// gated on its presence, so fault-free runs stay byte-identical.
+	// Fault schedule: the evaluator draws from its own RNG and every hook is
+	// gated on its presence, so fault-free runs stay byte-identical. An
+	// arbitrary odd constant decorrelates the fault stream from the
+	// scenario stream that shares the same user-facing seed.
 	if p.Faults != nil && !p.Faults.Empty() {
-		inj := faults.NewInjector(p.Faults, p.Seed)
+		inj := faults.NewEval(p.Faults, p.Seed*0x9E3779B9+0x1D872B41)
 		med.SetFaults(inj)
 		sc.inj = inj
 	}
@@ -420,49 +422,15 @@ func (sc *scenario) countQueryMessages(key core.QueryKey, n, sizeBytes int) {
 }
 
 // computeRecall runs the centralized oracle after the simulation: for every
-// query, the constrained skyline of the (deduplicated) union of all device
-// relations is the ground truth, and the query's merged result is scored
-// against it. A distributed result tuple matches a truth tuple when they
-// describe the same site with identical attributes; recall is the matched
-// fraction of the truth and precision the matched fraction of the result.
-// Partitioning overlap duplicates tuples across devices, so the union is
-// deduplicated by site before the oracle runs.
+// query, the constrained skyline of the site-deduplicated union of all
+// device relations is the ground truth, and skyline.Score rates the
+// query's merged result against it.
 func (sc *scenario) computeRecall(out *Outcome) {
-	type site [2]float64
-	seen := make(map[site]bool)
-	var union []tuple.Tuple
-	for _, part := range out.DeviceTuples {
-		for _, t := range part {
-			s := site{t.X, t.Y}
-			if !seen[s] {
-				seen[s] = true
-				union = append(union, t)
-			}
-		}
-	}
+	union := skyline.UnionBySite(out.DeviceTuples...)
 	for _, qm := range out.Queries {
 		truth := skyline.Constrained(union, qm.Pos, qm.D)
 		qm.TruthTuples = len(truth)
-		bysite := make(map[site]tuple.Tuple, len(truth))
-		for _, t := range truth {
-			bysite[site{t.X, t.Y}] = t
-		}
-		matched := 0
-		for _, t := range qm.Skyline {
-			if u, ok := bysite[site{t.X, t.Y}]; ok && u.Equal(t) {
-				matched++
-			}
-		}
-		if len(truth) == 0 {
-			qm.Recall = 1
-		} else {
-			qm.Recall = float64(matched) / float64(len(truth))
-		}
-		if len(qm.Skyline) == 0 {
-			qm.Precision = 1
-		} else {
-			qm.Precision = float64(matched) / float64(len(qm.Skyline))
-		}
+		qm.Recall, qm.Precision = skyline.Score(truth, qm.Skyline)
 		// Per-query timelines carry their oracle score.
 		sc.spans.SetRecall(spanKey(qm.Key), qm.Recall)
 	}

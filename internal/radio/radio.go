@@ -42,23 +42,26 @@ type Payload interface {
 // Handler receives delivered frames.
 type Handler func(from NodeID, p Payload)
 
-// FaultInjector is the hook surface for scripted fault schedules
-// (internal/faults). Implementations must be deterministic functions of
-// their own seeded state: they are consulted on the transmit and delivery
-// paths but must never draw from the medium's random source, so a medium
-// without an injector runs byte-identically to one with a nil injector.
+// FaultInjector is the hook surface for scripted fault schedules: the
+// medium asks these questions and never sees the plan format behind them
+// (internal/faults.Eval answers them). Implementations must be
+// deterministic functions of their own seeded state: they are consulted on
+// the transmit and delivery paths but must never draw from the medium's
+// random source, so a medium without an injector runs byte-identically to
+// one with a nil injector. Node IDs are plain ints, as in a fault plan.
 type FaultInjector interface {
 	// NodeDown reports whether the node is silenced (crashed or paused) at
 	// time now: it neither transmits nor receives.
-	NodeDown(id NodeID, now float64) bool
+	NodeDown(id int, now float64) bool
 	// CutLink decides at delivery time whether the frame from → to is
-	// removed by the schedule (downed receiver, link/region loss windows,
-	// partitions).
-	CutLink(from, to NodeID, now float64, fromPos, toPos tuple.Point) bool
-	// TxEffects perturbs one transmission: extraDelay postpones the nominal
-	// delivery and each dupDelays entry schedules one duplicate copy that
-	// many seconds after it. The slice may be reused across calls.
-	TxEffects(from NodeID, now float64) (extraDelay float64, dupDelays []float64)
+	// removed by the schedule (downed receiver, partitions, link/region
+	// loss windows).
+	CutLink(from, to int, now float64, fromPos, toPos tuple.Point) bool
+	// TxEffects perturbs one transmission at now: extraDelay postpones the
+	// nominal delivery and each dupDelays entry schedules one duplicate
+	// copy that many seconds after it. The slice may be reused across
+	// calls.
+	TxEffects(now float64) (extraDelay float64, dupDelays []float64)
 }
 
 // Config parameterizes the medium.
@@ -485,7 +488,7 @@ func (m *Medium) SetFaults(f FaultInjector) { m.faults = f }
 func (m *Medium) scheduleDelivery(slot uint32, nominal, airtime float64) {
 	at := nominal
 	if m.faults != nil {
-		extra, dups := m.faults.TxEffects(m.inflight[slot].from, m.eng.Now())
+		extra, dups := m.faults.TxEffects(m.eng.Now())
 		at += extra
 		for _, dd := range dups {
 			c := m.getSlot()
@@ -546,7 +549,7 @@ func (m *Medium) Unicast(from, to NodeID, p Payload) bool {
 	if from == to {
 		panic("radio: self-addressed frame")
 	}
-	if m.faults != nil && m.faults.NodeDown(from, m.eng.Now()) {
+	if m.faults != nil && m.faults.NodeDown(int(from), m.eng.Now()) {
 		return false
 	}
 	if !m.InRange(from, to) {
@@ -572,7 +575,7 @@ func (m *Medium) Unicast(from, to NodeID, p Payload) bool {
 func (m *Medium) received(from, to NodeID, fromPos tuple.Point) bool {
 	toPos := m.PosOf(to)
 	if m.faults != nil &&
-		m.faults.CutLink(from, to, m.eng.Now(), fromPos, toPos) {
+		m.faults.CutLink(int(from), int(to), m.eng.Now(), fromPos, toPos) {
 		m.Counters.DroppedFault++
 		return false
 	}
@@ -602,7 +605,7 @@ func (m *Medium) received(from, to NodeID, fromPos tuple.Point) bool {
 // busy period on the sender's radio; each addressed receiver independently
 // suffers range and loss drops at delivery time.
 func (m *Medium) Broadcast(from NodeID, p Payload) int {
-	if m.faults != nil && m.faults.NodeDown(from, m.eng.Now()) {
+	if m.faults != nil && m.faults.NodeDown(int(from), m.eng.Now()) {
 		return 0
 	}
 	slot := m.getSlot()

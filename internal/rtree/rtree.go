@@ -85,7 +85,6 @@ type Tree struct {
 	dim    int
 	count  int
 	fanout int
-	height int
 }
 
 // DefaultFanout is the node capacity used when Build is given fanout ≤ 1.
@@ -112,11 +111,9 @@ func Build(points [][]float64, fanout int) *Tree {
 		entries[i] = Entry{Point: p, Item: i}
 	}
 	leaves := packLeaves(entries, t.dim, fanout)
-	t.height = 1
 	level := leaves
 	for len(level) > 1 {
 		level = packNodes(level, t.dim, fanout)
-		t.height++
 	}
 	t.root = level[0]
 	return t
@@ -130,9 +127,6 @@ func (t *Tree) Len() int { return t.count }
 
 // Dim returns the dimensionality (0 for an empty tree).
 func (t *Tree) Dim() int { return t.dim }
-
-// Height returns the number of node levels.
-func (t *Tree) Height() int { return t.height }
 
 // packLeaves tiles entries into leaf nodes via STR: sort by the first
 // dimension, cut into slabs, sort each slab by the next dimension, recurse.

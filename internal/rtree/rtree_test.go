@@ -91,8 +91,10 @@ func TestBoundingInvariant(t *testing.T) {
 func TestFanoutRespected(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	tree := Build(randPoints(r, 2000, 2), 8)
-	var walk func(n *Node)
-	walk = func(n *Node) {
+	height := 0
+	var walk func(n *Node, level int)
+	walk = func(n *Node, level int) {
+		height = max(height, level)
 		if n.Leaf() {
 			if len(n.Entries) > 8 {
 				t.Fatalf("leaf holds %d entries, fanout 8", len(n.Entries))
@@ -103,12 +105,12 @@ func TestFanoutRespected(t *testing.T) {
 			t.Fatalf("node holds %d children, fanout 8", len(n.Children))
 		}
 		for _, c := range n.Children {
-			walk(c)
+			walk(c, level+1)
 		}
 	}
-	walk(tree.Root())
-	if tree.Height() < 3 {
-		t.Errorf("2000 points at fanout 8 should need ≥3 levels, got %d", tree.Height())
+	walk(tree.Root(), 1)
+	if height < 3 {
+		t.Errorf("2000 points at fanout 8 should need ≥3 levels, got %d", height)
 	}
 }
 

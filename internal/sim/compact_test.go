@@ -108,8 +108,8 @@ func TestSimEventZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("lane Arm+Cancel+Step allocated %.1f objects/op, want 0", allocs)
 	}
-	if e.Pending() != 0 {
-		t.Errorf("lane cycle left %d events pending", e.Pending())
+	if e.pending() != 0 {
+		t.Errorf("lane cycle left %d events pending", e.pending())
 	}
 	if sink == 0 {
 		t.Fatal("handler never ran")

@@ -50,7 +50,7 @@ func TestLaneCancel(t *testing.T) {
 	l.Cancel(h0) // the head, whose heap entry is already pushed
 	l.Cancel(h3)
 	l.Cancel(h3)
-	if p := e.Pending(); p != 2 {
+	if p := e.pending(); p != 2 {
 		t.Fatalf("pending = %d, want 2", p)
 	}
 	if n := e.RunAll(); n != 2 {
@@ -60,8 +60,8 @@ func TestLaneCancel(t *testing.T) {
 	if want := []uint32{1, 2}; !slices.Equal(got, want) {
 		t.Fatalf("ran %v, want %v", got, want)
 	}
-	if e.Executed() != 2 || e.Pending() != 0 {
-		t.Errorf("executed %d, pending %d; want 2, 0", e.Executed(), e.Pending())
+	if e.Executed() != 2 || e.pending() != 0 {
+		t.Errorf("executed %d, pending %d; want 2, 0", e.Executed(), e.pending())
 	}
 	// The heap entry of a cancelled head must not run the next event
 	// early, ahead of a heap event between the two.
@@ -159,7 +159,7 @@ func TestNewLaneRejectsBadDelay(t *testing.T) {
 }
 
 // firing is one event run, as FuzzLaneOrder compares them. pending is
-// Pending as the event runs, less the reference run's cancelled events
+// Engine.pending as the event runs, less the reference run's cancelled events
 // still in the heap.
 type firing struct {
 	at      float64
@@ -248,7 +248,7 @@ func laneProgram(t *testing.T, ops []byte, reference bool) []firing {
 				return
 			}
 			ran++
-			out = append(out, firing{at: e.Now(), seq: seqs[b], kind: *kind, a: a, b: b, pending: e.Pending() - waiting})
+			out = append(out, firing{at: e.Now(), seq: seqs[b], kind: *kind, a: a, b: b, pending: e.pending() - waiting})
 			do()
 			if a%2 == 1 {
 				do()
@@ -265,8 +265,8 @@ func laneProgram(t *testing.T, ops []byte, reference bool) []firing {
 	if !reference && e.Executed() != ran {
 		t.Fatalf("Executed = %d, but %d events ran", e.Executed(), ran)
 	}
-	if e.Pending()-waiting != 0 {
-		t.Fatalf("Pending = %d after the run", e.Pending()-waiting)
+	if e.pending()-waiting != 0 {
+		t.Fatalf("pending = %d after the run", e.pending()-waiting)
 	}
 	return out
 }

@@ -62,7 +62,8 @@ type Engine struct {
 	funcs    []func()
 	funcFree []uint32
 
-	// lanes lists the engine's lanes, for Pending.
+	// lanes lists the engine's lanes, so the tests can count their
+	// queued events.
 	lanes []*Lane
 }
 
@@ -194,19 +195,6 @@ func (e *Engine) RunAll() uint64 {
 	for e.Step() {
 	}
 	return e.ran - start
-}
-
-// Pending returns the number of queued events: the heap's own plus the
-// lanes' live ones.
-func (e *Engine) Pending() int {
-	n := len(e.queue)
-	for _, l := range e.lanes {
-		n += l.live
-		if l.queued {
-			n-- // the lane's heap entry
-		}
-	}
-	return n
 }
 
 // Executed returns the total number of events run so far.

@@ -186,6 +186,49 @@ func Constrained(ts []tuple.Tuple, pos tuple.Point, d float64) []tuple.Tuple {
 	return SFS(in)
 }
 
+// UnionBySite concatenates the parts, keeping the first tuple at each site
+// (X, Y). Partitioning overlap duplicates tuples across devices, so the
+// union of their relations is deduplicated this way before an oracle runs
+// Constrained over it.
+func UnionBySite(parts ...[]tuple.Tuple) []tuple.Tuple {
+	seen := make(map[tuple.Point]bool)
+	var union []tuple.Tuple
+	for _, part := range parts {
+		for _, t := range part {
+			if !seen[t.Pos()] {
+				seen[t.Pos()] = true
+				union = append(union, t)
+			}
+		}
+	}
+	return union
+}
+
+// Score rates a distributed result against the oracle's truth. A result
+// tuple matches a truth tuple when they describe the same site with
+// identical attributes; recall is the matched fraction of the truth and
+// precision the matched fraction of the result, each 1 over an empty set.
+func Score(truth, got []tuple.Tuple) (recall, precision float64) {
+	bysite := make(map[tuple.Point]tuple.Tuple, len(truth))
+	for _, t := range truth {
+		bysite[t.Pos()] = t
+	}
+	matched := 0
+	for _, t := range got {
+		if u, ok := bysite[t.Pos()]; ok && u.Equal(t) {
+			matched++
+		}
+	}
+	recall, precision = 1, 1
+	if len(truth) > 0 {
+		recall = float64(matched) / float64(len(truth))
+	}
+	if len(got) > 0 {
+		precision = float64(matched) / float64(len(got))
+	}
+	return recall, precision
+}
+
 // Contains reports whether sky contains a tuple equal to t.
 func Contains(sky []tuple.Tuple, t tuple.Tuple) bool {
 	for _, s := range sky {

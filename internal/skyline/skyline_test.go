@@ -291,3 +291,29 @@ func TestSetEqual(t *testing.T) {
 		t.Errorf("empty sets are equal")
 	}
 }
+
+func TestScoreAndUnionBySite(t *testing.T) {
+	a := tuple.Tuple{X: 1, Y: 1, Attrs: []float64{1, 2}}
+	a2 := tuple.Tuple{X: 1, Y: 1, Attrs: []float64{9, 9}} // a's site, other attributes
+	b := tuple.Tuple{X: 2, Y: 2, Attrs: []float64{2, 1}}
+	c := tuple.Tuple{X: 3, Y: 3, Attrs: []float64{3, 3}}
+	if u := UnionBySite([]tuple.Tuple{a, b}, []tuple.Tuple{a2, c}); len(u) != 3 || !u[0].Equal(a) {
+		t.Errorf("UnionBySite kept %v, want a, b, c with a's first copy", u)
+	}
+	for _, tc := range []struct {
+		name         string
+		truth, got   []tuple.Tuple
+		recall, prec float64
+	}{
+		{"exact", []tuple.Tuple{a, b}, []tuple.Tuple{b, a}, 1, 1},
+		{"half found", []tuple.Tuple{a, b}, []tuple.Tuple{a}, 0.5, 1},
+		{"site match with other attributes", []tuple.Tuple{a, b}, []tuple.Tuple{a2, b}, 0.5, 0.5},
+		{"extra tuple", []tuple.Tuple{a}, []tuple.Tuple{a, c}, 1, 0.5},
+		{"empty truth", nil, []tuple.Tuple{c}, 1, 0},
+		{"empty result", []tuple.Tuple{a}, nil, 0, 1},
+	} {
+		if r, p := Score(tc.truth, tc.got); r != tc.recall || p != tc.prec {
+			t.Errorf("%s: Score = %g, %g; want %g, %g", tc.name, r, p, tc.recall, tc.prec)
+		}
+	}
+}

@@ -320,15 +320,9 @@ func (h *Hybrid) AttrMax(j int) float64 {
 	return h.domains[j][len(h.domains[j])-1]
 }
 
-// DomainSize returns the number of distinct values of attribute j.
-func (h *Hybrid) DomainSize(j int) int { return len(h.domains[j]) }
-
 // SortAttr returns the index of the primary sort attribute (the one with
 // the most distinct values).
 func (h *Hybrid) SortAttr() int { return h.sortAttr }
-
-// IDToValue decodes a domain ID for attribute j.
-func (h *Hybrid) IDToValue(j, id int) float64 { return h.domains[j][id] }
 
 // DecodeIDs widens every tuple's ID vector into one row-major []uint32
 // (tuple i occupies ids[i*Dim() : (i+1)*Dim()]). The local skyline scan

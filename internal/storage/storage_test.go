@@ -97,10 +97,7 @@ func TestHybridIDOrderIsomorphism(t *testing.T) {
 	h := NewHybrid(data)
 	for j := 0; j < h.Dim(); j++ {
 		// Domain sorted strictly ascending.
-		dom := make([]float64, h.DomainSize(j))
-		for k := range dom {
-			dom[k] = h.IDToValue(j, k)
-		}
+		dom := h.domains[j]
 		if !sort.Float64sAreSorted(dom) {
 			t.Fatalf("attr %d domain not sorted", j)
 		}
@@ -158,8 +155,8 @@ func TestHybridSortAttrHasMostDistinctValues(t *testing.T) {
 	if h.SortAttr() != 1 {
 		t.Errorf("SortAttr = %d, want 1", h.SortAttr())
 	}
-	if h.DomainSize(0) != 3 || h.DomainSize(1) != 100 {
-		t.Errorf("domain sizes = %d,%d", h.DomainSize(0), h.DomainSize(1))
+	if len(h.domains[0]) != 3 || len(h.domains[1]) != 100 {
+		t.Errorf("domain sizes = %d,%d", len(h.domains[0]), len(h.domains[1]))
 	}
 }
 

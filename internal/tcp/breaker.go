@@ -3,8 +3,6 @@ package tcp
 import (
 	"sync"
 	"time"
-
-	"manetskyline/internal/core"
 )
 
 // BreakerState classifies a neighbour link's circuit breaker.
@@ -137,14 +135,4 @@ func (b *breaker) snapshot() (BreakerState, int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state, b.fails
-}
-
-// BreakerStat is one neighbour link's circuit-breaker state.
-type BreakerStat struct {
-	// To is the neighbour the link leads to.
-	To core.DeviceID
-	// State is the breaker's current state.
-	State BreakerState
-	// ConsecFails counts consecutive dial failures since the last success.
-	ConsecFails int
 }

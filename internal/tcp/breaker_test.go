@@ -108,8 +108,8 @@ func TestBreakerOpensUnderDialFailuresAndRecovers(t *testing.T) {
 		t.Fatalf("query 1 error = %v, want ErrUnreachable", err)
 	}
 	waitFor(t, "breaker open", func() bool {
-		st := p0.BreakerStats()
-		return len(st) == 1 && st[0].State == BreakerOpen
+		s, _ := breakerState(p0, 1)
+		return s == BreakerOpen
 	})
 	snap := reg.Snapshot()
 	if snap.Counters["tcp_breaker_opens_total"] == 0 {
@@ -152,10 +152,19 @@ func TestBreakerOpensUnderDialFailuresAndRecovers(t *testing.T) {
 	if !res.Complete || res.Results != 1 {
 		t.Errorf("query 3: Complete=%v Results=%d, want complete/1", res.Complete, res.Results)
 	}
-	st := p0.BreakerStats()
-	if len(st) != 1 || st[0].State != BreakerClosed || st[0].ConsecFails != 0 {
-		t.Errorf("breaker after successful probe = %+v, want closed/0", st)
+	if s, fails := breakerState(p0, 1); s != BreakerClosed || fails != 0 {
+		t.Errorf("breaker after successful probe = %v/%d, want closed/0", s, fails)
 	}
+}
+
+// breakerState snapshots the breaker of p's link to id.
+func breakerState(p *Peer, id core.DeviceID) (BreakerState, int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if pc := p.conns[id]; pc != nil {
+		return pc.br.snapshot()
+	}
+	return BreakerClosed, 0
 }
 
 // waitFor polls cond for up to 2 seconds.

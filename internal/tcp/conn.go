@@ -3,8 +3,6 @@ package tcp
 import (
 	"fmt"
 	"net"
-	"sort"
-	"sync/atomic"
 	"time"
 
 	"manetskyline/internal/core"
@@ -47,12 +45,11 @@ type peerConn struct {
 	// br is the link's circuit breaker (nil = disabled).
 	br *breaker
 
-	// reconnects counts link re-establishments, surfaced by Peer.LinkStats
-	// and (with a registry) the per-link tcp_link_reconnects_total counter.
-	reconnects atomic.Int64
-	depth      *telemetry.Gauge
-	linkRecon  *telemetry.Counter
-	brState    *telemetry.Gauge
+	// With a registry, the link's queue depth, re-establishments and
+	// breaker state are labelled per link.
+	depth     *telemetry.Gauge
+	linkRecon *telemetry.Counter
+	brState   *telemetry.Gauge
 }
 
 // newPeerConn starts the writer goroutine; the caller holds p.mu and has
@@ -218,7 +215,6 @@ func (pc *peerConn) deliver(conn net.Conn, f outFrame) net.Conn {
 			p.traceStage(f.tc, telemetry.StageDial, pc.id, 0)
 			if attempt > 0 {
 				p.met.Reconnects.Inc()
-				pc.reconnects.Add(1)
 				pc.linkRecon.Inc()
 				p.flightEvent("reconnect", f.tc, "link to %d re-established after %d attempts", pc.id, attempt)
 			}
@@ -274,46 +270,6 @@ func (pc *peerConn) sleep(d time.Duration) bool {
 	case <-pc.p.ctx.Done():
 		return false
 	}
-}
-
-// LinkStat is one neighbour link's live transport state, surfaced from the
-// connection pool's internal fields.
-type LinkStat struct {
-	// To is the neighbour the link leads to.
-	To core.DeviceID
-	// QueueDepth is the number of frames waiting on the link's send queue.
-	QueueDepth int
-	// Reconnects counts re-establishments after at least one failure.
-	Reconnects int64
-}
-
-// LinkStats reports every managed outbound link, sorted by neighbour ID.
-func (p *Peer) LinkStats() []LinkStat {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]LinkStat, 0, len(p.conns))
-	for id, pc := range p.conns {
-		out = append(out, LinkStat{
-			To: id, QueueDepth: len(pc.queue), Reconnects: pc.reconnects.Load(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].To < out[j].To })
-	return out
-}
-
-// BreakerStats reports every managed link's circuit-breaker state, sorted
-// by neighbour ID. Links without a breaker (Config.BreakerThreshold 0)
-// report BreakerClosed.
-func (p *Peer) BreakerStats() []BreakerStat {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]BreakerStat, 0, len(p.conns))
-	for id, pc := range p.conns {
-		s, fails := pc.br.snapshot()
-		out = append(out, BreakerStat{To: id, State: s, ConsecFails: fails})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].To < out[j].To })
-	return out
 }
 
 // drain gives queued frames one best-effort flush within DrainTimeout so a

@@ -142,17 +142,6 @@ func (d *Directory) Lookup(id core.DeviceID) (string, bool) {
 	return e.addr, true
 }
 
-// State reports the liveness of a peer's registration.
-func (d *Directory) State(id core.DeviceID) LeaseState {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	e, ok := d.addrs[id]
-	if !ok {
-		return LeaseUnknown
-	}
-	return e.state(time.Now())
-}
-
 // Sweep removes entries that have decayed to down and returns how many it
 // evicted. The DirectoryServer's janitor calls it periodically; in-process
 // directories also evict lazily in Lookup.

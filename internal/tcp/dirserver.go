@@ -98,10 +98,6 @@ func NewDirectoryServer(addr string) (*DirectoryServer, error) {
 // Addr returns the server's listen address.
 func (s *DirectoryServer) Addr() string { return s.ln.Addr().String() }
 
-// Directory exposes the server's backing directory (lease states for
-// tests and operators).
-func (s *DirectoryServer) Directory() *Directory { return s.dir }
-
 // Close stops the server.
 func (s *DirectoryServer) Close() {
 	s.mu.Lock()

@@ -10,6 +10,17 @@ import (
 	"manetskyline/internal/tuple"
 )
 
+// state reports the liveness of a peer's registration.
+func (d *Directory) state(id core.DeviceID) LeaseState {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	e, ok := d.addrs[id]
+	if !ok {
+		return LeaseUnknown
+	}
+	return e.state(time.Now())
+}
+
 func TestDirectoryServerRegisterLookupList(t *testing.T) {
 	srv, err := NewDirectoryServer("127.0.0.1:0")
 	if err != nil {
@@ -110,7 +121,7 @@ func TestDirectoryLeaseStates(t *testing.T) {
 	if err := d.RegisterLease(3, "127.0.0.1:1111", ttl); err != nil {
 		t.Fatalf("RegisterLease: %v", err)
 	}
-	if st := d.State(3); st != LeaseLive {
+	if st := d.state(3); st != LeaseLive {
 		t.Fatalf("fresh lease state = %v, want live", st)
 	}
 	if _, ok := d.Lookup(3); !ok {
@@ -123,12 +134,12 @@ func TestDirectoryLeaseStates(t *testing.T) {
 			t.Fatalf("heartbeat %d rejected", i)
 		}
 	}
-	if st := d.State(3); st != LeaseLive {
+	if st := d.state(3); st != LeaseLive {
 		t.Fatalf("heartbeated lease state = %v, want live", st)
 	}
 	// Lapse: one TTL in, the entry is suspect but still resolvable.
 	time.Sleep(ttl + ttl/4)
-	if st := d.State(3); st != LeaseSuspect {
+	if st := d.state(3); st != LeaseSuspect {
 		t.Errorf("state after one TTL = %v, want suspect", st)
 	}
 	if _, ok := d.Lookup(3); !ok {
@@ -137,7 +148,7 @@ func TestDirectoryLeaseStates(t *testing.T) {
 	// Past the grace period the peer is down: invisible and heartbeats are
 	// rejected, forcing a full re-registration.
 	time.Sleep(ttl)
-	if st := d.State(3); st != LeaseDown {
+	if st := d.state(3); st != LeaseDown {
 		t.Errorf("state after grace = %v, want down", st)
 	}
 	if _, ok := d.Lookup(3); ok {
@@ -186,11 +197,11 @@ func TestDirectoryServerLeaseExpiryAndReRegistration(t *testing.T) {
 	// swept the entry out of list as well.
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		if st := srv.Directory().State(5); st == LeaseDown || st == LeaseUnknown {
+		if st := srv.dir.state(5); st == LeaseDown || st == LeaseUnknown {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("lease never decayed, state = %v", srv.Directory().State(5))
+			t.Fatalf("lease never decayed, state = %v", srv.dir.state(5))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -263,7 +274,7 @@ func TestPeerLeaseCrashRestart(t *testing.T) {
 	p1.Close()
 	deadline := time.Now().Add(3 * time.Second)
 	for {
-		if st := srv.Directory().State(1); st == LeaseDown || st == LeaseUnknown {
+		if st := srv.dir.state(1); st == LeaseDown || st == LeaseUnknown {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -92,10 +92,7 @@ func (t Tuple) Dominates(u Tuple) bool {
 }
 
 // DominatesOrEqual reports whether t dominates u or has exactly equal
-// attribute values. It is the pruning test used when a filtering tuple is
-// applied: a remote tuple whose attributes equal the filter's would be
-// removed as a duplicate or dominated entry at assembly anyway, so
-// transmitting it is wasted bandwidth unless it is the very same site.
+// attribute values: weak dominance, which strict dominance implies.
 func (t Tuple) DominatesOrEqual(u Tuple) bool {
 	if len(t.Attrs) != len(u.Attrs) {
 		return false

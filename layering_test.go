@@ -65,8 +65,10 @@ func moduleImports(t *testing.T) map[string][]string {
 // TestLayering pins the package layering the protocol core relies on:
 // internal/core is the transport-agnostic protocol (no simulator, radio,
 // routing, mobility, wire format, sockets or clocks), only the simulator's
-// own layers reach the radio and routing substrate, and that substrate
-// counts in its own per-run Counters, not in the telemetry registry.
+// own layers reach the radio and routing substrate, internal/faults
+// reaches neither it nor the event engine (the live tier uses the same
+// evaluator), and that substrate counts in its own per-run Counters, not
+// in the telemetry registry.
 func TestLayering(t *testing.T) {
 	imports := moduleImports(t)
 	if len(imports["internal/core"]) == 0 {
@@ -84,8 +86,13 @@ func TestLayering(t *testing.T) {
 			t.Errorf("%s imports internal/telemetry", dir)
 		}
 	}
+	for _, p := range imports["internal/faults"] {
+		if p == module+"internal/sim" {
+			t.Errorf("internal/faults imports %s; one evaluator serves both tiers", p)
+		}
+	}
 	substrate := []string{module + "internal/radio", module + "internal/aodv"}
-	allowed := []string{"internal/aodv", "internal/manet", "internal/faults"}
+	allowed := []string{"internal/aodv", "internal/manet"}
 	for dir, ps := range imports {
 		for _, p := range ps {
 			if slices.Contains(substrate, p) && !slices.Contains(allowed, dir) {
