@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bufio"
 	"io"
 	"net"
 	"sync"
@@ -121,10 +122,15 @@ func (p *linkProxy) pump(client net.Conn) {
 	var delayed sync.WaitGroup
 	defer delayed.Wait()
 
+	in := bufio.NewReaderSize(client, wire.ReadBufferSize)
+	var out io.Writer = backend
+	if chunk := p.r.opts.Extras.TrickleChunk; chunk > 0 {
+		out = &trickle{w: backend, chunk: chunk, delay: p.r.opts.Extras.TrickleDelay, done: p.r.done}
+	}
 	for {
 		// Raw passthrough: the proxy must not interpret (or rewrite) the
 		// header, so traced v2 frames cross the middlebox byte-identical.
-		hdr, body, err := wire.ReadRawFrame(client)
+		hdr, body, err := wire.ReadRawFrame(in)
 		if err != nil {
 			return
 		}
@@ -152,7 +158,7 @@ func (p *linkProxy) pump(client net.Conn) {
 				wmu.Lock()
 				defer wmu.Unlock()
 				for i := 0; i <= dups; i++ {
-					if p.writeFrame(backend, hdr, body) != nil {
+					if wire.WriteRawFrame(out, hdr, body) != nil {
 						return
 					}
 				}
@@ -160,9 +166,9 @@ func (p *linkProxy) pump(client net.Conn) {
 			continue
 		}
 		wmu.Lock()
-		werr := p.writeFrame(backend, hdr, body)
+		werr := wire.WriteRawFrame(out, hdr, body)
 		for i := 0; i < dups && werr == nil; i++ {
-			werr = p.writeFrame(backend, hdr, body)
+			werr = wire.WriteRawFrame(out, hdr, body)
 		}
 		wmu.Unlock()
 		if werr != nil {
@@ -200,33 +206,31 @@ func (p *linkProxy) waitHealed() (float64, bool) {
 	}
 }
 
-// writeFrame forwards one frame, trickling it byte-wise when configured.
-// The original header bytes are preserved verbatim (trace flag included).
-// Callers hold the per-backend write mutex.
-func (p *linkProxy) writeFrame(backend net.Conn, hdr [4]byte, body []byte) error {
-	chunk := p.r.opts.Extras.TrickleChunk
-	if chunk <= 0 {
-		return wire.WriteRawFrame(backend, hdr, body)
-	}
-	buf := make([]byte, 0, 4+len(body))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, body...)
-	for len(buf) > 0 {
-		n := chunk
-		if n > len(buf) {
-			n = len(buf)
+// trickle is the backend writer under Extras.TrickleChunk: it splits each
+// frame the proxy forwards into chunk-byte writes, pausing delay between
+// them, so the receiver sees the frame arrive in pieces.
+type trickle struct {
+	w     io.Writer
+	chunk int
+	delay time.Duration
+	done  <-chan struct{}
+}
+
+func (t *trickle) Write(b []byte) (int, error) {
+	sent := 0
+	for sent < len(b) {
+		n := min(t.chunk, len(b)-sent)
+		if _, err := t.w.Write(b[sent : sent+n]); err != nil {
+			return sent, err
 		}
-		if _, err := backend.Write(buf[:n]); err != nil {
-			return err
-		}
-		buf = buf[n:]
-		if d := p.r.opts.Extras.TrickleDelay; d > 0 && len(buf) > 0 {
+		sent += n
+		if t.delay > 0 && sent < len(b) {
 			select {
-			case <-p.r.done:
-				return net.ErrClosed
-			case <-time.After(d):
+			case <-t.done:
+				return sent, net.ErrClosed
+			case <-time.After(t.delay):
 			}
 		}
 	}
-	return nil
+	return sent, nil
 }

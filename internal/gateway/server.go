@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -120,8 +121,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
+	br := bufio.NewReaderSize(conn, wire.ReadBufferSize)
 	for {
-		msg, err := wire.ReadFrame(conn)
+		msg, err := wire.ReadFrame(br)
 		if err != nil {
 			return // EOF or severed
 		}

@@ -18,6 +18,7 @@
 package tcp
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -397,12 +398,14 @@ func (p *Peer) serve(conn net.Conn) {
 	defer conn.Close()
 	p.met.OpenConns.Inc()
 	defer p.met.OpenConns.Dec()
-	// One message buffer and outbox serve every frame of the connection.
+	// One message buffer, outbox and read buffer serve every frame of the
+	// connection.
 	var m core.Msg
 	ob := &outbox{p: p}
+	br := bufio.NewReaderSize(conn, wire.ReadBufferSize)
 	for {
 		conn.SetReadDeadline(time.Now().Add(p.cfg.ReadIdleTimeout))
-		msg, ctx, traced, err := wire.ReadFrameCtx(conn)
+		msg, ctx, traced, err := wire.ReadFrameCtx(br)
 		if err != nil {
 			return // EOF, idle timeout, or shutdown
 		}

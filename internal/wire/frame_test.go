@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"io"
 	"testing"
 )
 
@@ -189,5 +191,231 @@ func FuzzFrameCtxRoundTrip(f *testing.F) {
 		if !bytes.Equal(out.Bytes(), buf.Bytes()) {
 			t.Fatal("raw passthrough not identical")
 		}
+	})
+}
+
+// TestHeaderLimits pins the one header check both readers share at its
+// boundaries: a v1 body may be MaxFrame bytes, a traced body must hold a
+// trace context and at most MaxFrame message bytes after it. A rejected
+// header fails both readers before any body is read, so the chaos proxy
+// passes on exactly the frames a peer accepts.
+func TestHeaderLimits(t *testing.T) {
+	cases := []struct {
+		name string
+		word uint32
+		ok   bool
+	}{
+		{"v1 empty", 0, true},
+		{"v1 at MaxFrame", MaxFrame, true},
+		{"v1 at MaxFrame+1", MaxFrame + 1, false},
+		{"traced at 9", TraceContextSize - 1 | traceFlag, false},
+		{"traced at 10", TraceContextSize | traceFlag, true},
+		{"traced at MaxFrame+10", MaxFrame + TraceContextSize | traceFlag, true},
+		{"traced at MaxFrame+11", MaxFrame + TraceContextSize + 1 | traceFlag, false},
+	}
+	for _, c := range cases {
+		n, traced, err := parseHeader(c.word)
+		if (err == nil) != c.ok {
+			t.Errorf("%s: parseHeader err = %v, want ok=%v", c.name, err, c.ok)
+			continue
+		}
+		if c.ok && (n != c.word&^traceFlag || traced != (c.word&traceFlag != 0)) {
+			t.Errorf("%s: parseHeader = (%d, %v)", c.name, n, traced)
+		}
+		// Small accepted frames and every rejected header go through both
+		// readers; a large accepted body would only test io.ReadFull.
+		body := int(c.word &^ traceFlag)
+		if c.ok && body > 64 {
+			continue
+		}
+		if !c.ok {
+			body = 64
+		}
+		stream := binary.LittleEndian.AppendUint32(nil, c.word)
+		stream = append(stream, make([]byte, body)...)
+		_, _, _, ctxErr := ReadFrameCtx(bytes.NewReader(stream))
+		_, _, rawErr := ReadRawFrame(bytes.NewReader(stream))
+		for reader, err := range map[string]error{"ReadFrameCtx": ctxErr, "ReadRawFrame": rawErr} {
+			if (err == nil) != c.ok {
+				t.Errorf("%s: %s err = %v, want ok=%v", c.name, reader, err, c.ok)
+			}
+		}
+	}
+}
+
+// writeCounter counts the Write calls a frame writer makes.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestOneWritePerFrame pins every frame writer at one Write per frame, the
+// property that makes a frame one system call on a socket.
+func TestOneWritePerFrame(t *testing.T) {
+	msg := []byte("payload")
+	tc := &TraceContext{Org: 4, Cnt: 1, Hop: 2, Parent: 3}
+	var traced bytes.Buffer
+	if err := WriteFrameCtx(&traced, msg, tc); err != nil {
+		t.Fatal(err)
+	}
+	hdr, body, err := ReadRawFrame(&traced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writers := []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"WriteFrame", func(w io.Writer) error { return WriteFrame(w, msg) }},
+		{"WriteFrameCtx nil", func(w io.Writer) error { return WriteFrameCtx(w, msg, nil) }},
+		{"WriteFrameCtx traced", func(w io.Writer) error { return WriteFrameCtx(w, msg, tc) }},
+		{"WriteRawFrame", func(w io.Writer) error { return WriteRawFrame(w, hdr, body) }},
+	}
+	for _, c := range writers {
+		var w writeCounter
+		for i := 1; i <= 3; i++ {
+			if err := c.write(&w); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if w.writes != i {
+				t.Errorf("%s: %d Writes for %d frames", c.name, w.writes, i)
+			}
+		}
+	}
+}
+
+// chunkReader returns its stream in fuzz-chosen pieces: each Read delivers
+// 1 to 255 bytes as the next size byte says, or everything left for a size
+// byte of 255 or when there are no size bytes.
+type chunkReader struct {
+	data, sizes []byte
+	i           int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := len(r.data)
+	if len(r.sizes) > 0 {
+		if s := r.sizes[r.i%len(r.sizes)]; s < 255 {
+			n = min(n, int(s)+1)
+		}
+		r.i++
+	}
+	n = copy(p, r.data[:n])
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// FuzzFrameStream writes a fuzz-chosen run of v1 and v2 frames into one
+// stream, cuts it at a fuzz-chosen byte, and reads it back through a small
+// bufio.Reader over fuzz-sized reads, the way the socket readers see it.
+// Both readers must return exactly the frames wholly before the cut, each
+// identical to what was written, and then an error: a clean io.EOF when
+// the cut falls between frames, never a wrong frame.
+func FuzzFrameStream(f *testing.F) {
+	f.Add([]byte{5, 0x83, 0, 0x80}, []byte("frames in a stream"), []byte{0, 3, 254}, uint16(0xFFFF))
+	f.Add([]byte{0x7F, 0xFF, 1}, bytes.Repeat([]byte{9}, 300), []byte{}, uint16(200))
+	f.Add([]byte{0x81, 2}, []byte("ab"), []byte{255, 0}, uint16(7))
+	f.Fuzz(func(t *testing.T, layout, payload, chunks []byte, cut uint16) {
+		// Each layout byte is one frame: the top bit asks for a trace
+		// context, the low seven bits a message length drawn from payload.
+		if len(layout) > 32 {
+			layout = layout[:32]
+		}
+		type frame struct {
+			msg    []byte
+			tc     *TraceContext
+			offset int
+			end    int
+		}
+		var stream []byte
+		frames := make([]frame, len(layout))
+		off := 0
+		for i, b := range layout {
+			start := min(off, len(payload))
+			end := min(start+int(b&0x7F), len(payload))
+			off += int(b & 0x7F)
+			fr := frame{msg: payload[start:end], offset: len(stream)}
+			if b&0x80 != 0 {
+				fr.tc = &TraceContext{Org: int32(i), Cnt: b, Hop: uint8(i), Parent: int32(-i)}
+			}
+			var buf bytes.Buffer
+			if err := WriteFrameCtx(&buf, fr.msg, fr.tc); err != nil {
+				t.Fatal(err)
+			}
+			stream = append(stream, buf.Bytes()...)
+			fr.end = len(stream)
+			frames[i] = fr
+		}
+		at := int(cut) % (len(stream) + 1)
+		if cut == 0xFFFF {
+			at = len(stream)
+		}
+		cutStream := stream[:at]
+		onBoundary := at == 0
+		for _, fr := range frames {
+			onBoundary = onBoundary || fr.end == at
+		}
+		reader := func() *bufio.Reader {
+			return bufio.NewReaderSize(&chunkReader{data: cutStream, sizes: chunks}, 16)
+		}
+		// finish checks how a reader's pass ended after it returned got
+		// frames.
+		finish := func(name string, got int, err error) {
+			t.Helper()
+			if err == nil {
+				t.Fatalf("%s: read past the cut at %d of %d", name, at, len(stream))
+			}
+			if got < len(frames) && frames[got].end <= at {
+				t.Fatalf("%s: stopped at frame %d of a whole prefix: %v", name, got, err)
+			}
+			if onBoundary != (err == io.EOF) {
+				t.Fatalf("%s: cut at %d (boundary %v) ended in %v", name, at, onBoundary, err)
+			}
+		}
+
+		r := reader()
+		got := 0
+		var err error
+		for ; ; got++ {
+			var msg []byte
+			var tc TraceContext
+			var traced bool
+			if msg, tc, traced, err = ReadFrameCtx(r); err != nil {
+				break
+			}
+			if got >= len(frames) || frames[got].end > at {
+				t.Fatalf("ReadFrameCtx: frame %d read across the cut at %d", got, at)
+			}
+			fr := frames[got]
+			if !bytes.Equal(msg, fr.msg) || traced != (fr.tc != nil) || (traced && tc != *fr.tc) {
+				t.Fatalf("ReadFrameCtx: frame %d came back as %x %v %+v", got, msg, traced, tc)
+			}
+		}
+		finish("ReadFrameCtx", got, err)
+
+		r = reader()
+		for got = 0; ; got++ {
+			var hdr [4]byte
+			var body []byte
+			if hdr, body, err = ReadRawFrame(r); err != nil {
+				break
+			}
+			if got >= len(frames) || frames[got].end > at {
+				t.Fatalf("ReadRawFrame: frame %d read across the cut at %d", got, at)
+			}
+			fr := frames[got]
+			if raw := append(hdr[:], body...); !bytes.Equal(raw, stream[fr.offset:fr.end]) {
+				t.Fatalf("ReadRawFrame: frame %d came back as %x, want %x", got, raw, stream[fr.offset:fr.end])
+			}
+		}
+		finish("ReadRawFrame", got, err)
 	})
 }
