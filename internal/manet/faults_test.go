@@ -225,3 +225,33 @@ func TestDuplicateResultsCountOnce(t *testing.T) {
 		})
 	}
 }
+
+// TestRecallFloorDF is the CI recall gate: on the pinned 5%-loss scenario,
+// depth-first forwarding with the retry policy must keep mean recall at or
+// above 0.9.
+func TestRecallFloorDF(t *testing.T) {
+	p := DefaultParams()
+	p.Grid = 3
+	p.GlobalN = 3000
+	p.Strategy = DepthFirst
+	p.SimTime = 3600
+	p.MinQueries, p.MaxQueries = 1, 1
+	p.Static = true
+	p.Radio.Range = 2000
+	p.Radio.Loss = 0.05
+	p.QueryRetries = 3
+	p.RetryBackoff = 10
+	p.RetryBackoffMax = 60
+	p.Recall = true
+	p.Seed = 21
+	out := Run(p)
+	r, ok := out.MeanRecall()
+	if !ok {
+		t.Fatalf("recall not computed")
+	}
+	t.Logf("DF at 5%% loss: mean recall %.3f over %d queries (completion %.0f%%)",
+		r, len(out.Queries), out.CompletionRate()*100)
+	if r < 0.9 {
+		t.Errorf("mean recall %.3f below the 0.9 floor", r)
+	}
+}
