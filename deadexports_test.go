@@ -27,17 +27,17 @@ var liveWithoutCaller = map[string]string{
 	"internal/tuple.Tuple.DominatesOrEqual": "weak dominance; core's dominance fuzz checks that Dominates implies it",
 }
 
-// goFile is one parsed non-test source file and the module-relative,
+// goFile is one parsed source file, its path and the module-relative,
 // slash-separated directory it lives in.
 type goFile struct {
-	dir string
-	f   *ast.File
+	path, dir string
+	f         *ast.File
 }
 
-// sourceFiles parses every non-test .go file under root, skipping testdata,
-// hidden directories and nested modules; prefix is prepended to each
-// file's directory.
-func sourceFiles(t *testing.T, root, prefix string) []goFile {
+// sourceFiles parses every .go file under root, test files only when tests
+// is set, skipping testdata, hidden directories and nested modules; prefix
+// is prepended to each file's directory.
+func sourceFiles(t *testing.T, root, prefix string, tests bool) []goFile {
 	t.Helper()
 	var out []goFile
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
@@ -56,7 +56,7 @@ func sourceFiles(t *testing.T, root, prefix string) []goFile {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") || !tests && strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
 		f, err := parser.ParseFile(token.NewFileSet(), p, nil, parser.SkipObjectResolution)
@@ -67,7 +67,7 @@ func sourceFiles(t *testing.T, root, prefix string) []goFile {
 		if err != nil {
 			return err
 		}
-		out = append(out, goFile{dir: path.Join(prefix, filepath.ToSlash(rel)), f: f})
+		out = append(out, goFile{path: p, dir: path.Join(prefix, filepath.ToSlash(rel)), f: f})
 		return nil
 	})
 	if err != nil {
@@ -84,8 +84,8 @@ func sourceFiles(t *testing.T, root, prefix string) []goFile {
 // any interface declares it, so the check can miss a dead method but never
 // flags a live one.
 func TestNoDeadExports(t *testing.T) {
-	files := sourceFiles(t, ".", "")
-	files = append(files, sourceFiles(t, "benchmark", "benchmark")...)
+	files := sourceFiles(t, ".", "", false)
+	files = append(files, sourceFiles(t, "benchmark", "benchmark", false)...)
 
 	// Exported top-level functions of internal/, as "dir.Name", and
 	// exported methods of exported types, as "dir.Type.Name" keyed to their

@@ -208,23 +208,14 @@ func (v *view) Register(id core.DeviceID, addr string) {
 	v.r.inner.Register(id, addr)
 }
 
-// RegisterLease forwards leased registration when the inner directory
-// supports it and degrades to permanent registration otherwise.
+// RegisterLease forwards leased registration to the inner directory.
 func (v *view) RegisterLease(id core.DeviceID, addr string, ttl time.Duration) error {
-	if lr, ok := v.r.inner.(tcp.LeaseRegistrar); ok {
-		return lr.RegisterLease(id, addr, ttl)
-	}
-	v.r.inner.Register(id, addr)
-	return nil
+	return v.r.inner.RegisterLease(id, addr, ttl)
 }
 
-// Heartbeat forwards to the inner directory (vacuously true without lease
-// support).
+// Heartbeat forwards to the inner directory.
 func (v *view) Heartbeat(id core.DeviceID) bool {
-	if hb, ok := v.r.inner.(tcp.Heartbeater); ok {
-		return hb.Heartbeat(id)
-	}
-	return true
+	return v.r.inner.Heartbeat(id)
 }
 
 // Invalidate forwards cache eviction when supported.

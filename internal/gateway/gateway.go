@@ -172,12 +172,6 @@ type Config struct {
 	// absorb before a cached answer may go stale (0 ⇒ 25 distance units
 	// when MaxSpeed is set).
 	MovementSlack float64
-	// RegionCell quantizes request positions into coalescing/cache regions
-	// (0 ⇒ 250 distance units).
-	RegionCell float64
-	// DGrain quantizes the distance of interest into constraint boxes
-	// (0 ⇒ 50 distance units).
-	DGrain float64
 	// Registry receives gateway_* metrics (nil ⇒ disabled).
 	Registry *telemetry.Registry
 	// Logf, when non-nil, receives shed/breaker diagnostics.
@@ -201,20 +195,13 @@ func (c Config) withDefaults() Config {
 	if c.MovementSlack == 0 && c.MaxSpeed > 0 {
 		c.MovementSlack = 25
 	}
-	if c.RegionCell == 0 {
-		c.RegionCell = 250
-	}
-	if c.DGrain == 0 {
-		c.DGrain = 50
-	}
 	return c
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Rate < 0 || c.Burst < 0 || c.QueueDepth < 0 || c.DefaultDeadline < 0 ||
-		c.CacheTTL < 0 || c.MaxSpeed < 0 || c.MovementSlack < 0 ||
-		c.RegionCell < 0 || c.DGrain < 0 {
+		c.CacheTTL < 0 || c.MaxSpeed < 0 || c.MovementSlack < 0 {
 		return fmt.Errorf("gateway: negative tuning field")
 	}
 	return nil
@@ -265,9 +252,17 @@ func (e *SheddedError) Error() string {
 // Is makes errors.Is(err, ErrShedded) true for every shed rejection.
 func (e *SheddedError) Is(target error) bool { return target == ErrShedded }
 
+// The quantization grains of key, in distance units.
+const (
+	// regionCell quantizes request positions into coalescing/cache regions.
+	regionCell = 250
+	// dGrain quantizes the distance of interest into constraint boxes.
+	dGrain = 50
+)
+
 // key identifies equivalent queries for coalescing and caching: the region
-// (position quantized to RegionCell), the constraint box (distance of
-// interest quantized to DGrain; unconstrained collapses to one box), and
+// (position quantized to regionCell), the constraint box (distance of
+// interest quantized to dGrain; unconstrained collapses to one box), and
 // the strategy.
 type key struct {
 	cx, cy   int32
@@ -359,9 +354,9 @@ func (g *Gateway) keyOf(req Request) key {
 		d = -1 // all unconstrained queries share one box
 	}
 	return key{
-		cx:       int32(math.Floor(req.Pos.X / g.cfg.RegionCell)),
-		cy:       int32(math.Floor(req.Pos.Y / g.cfg.RegionCell)),
-		dq:       int32(math.Ceil(d / g.cfg.DGrain)),
+		cx:       int32(math.Floor(req.Pos.X / regionCell)),
+		cy:       int32(math.Floor(req.Pos.Y / regionCell)),
+		dq:       int32(math.Ceil(d / dGrain)),
 		strategy: req.Strategy,
 	}
 }

@@ -168,9 +168,6 @@ type Params struct {
 	// golden traces byte-identical.
 	FloodRoutes bool
 
-	// StartAtCells starts each device at the centre of its data's grid
-	// cell instead of a uniform random point.
-	StartAtCells bool
 	// Static disables movement entirely (devices stay at their starting
 	// points); used by correctness tests.
 	Static bool
@@ -226,8 +223,7 @@ func DefaultParams() Params {
 		Aodv:     aodv.DefaultConfig(),
 		Cost:     device.Handheld200MHz(),
 
-		StartAtCells: true,
-		Seed:         1,
+		Seed: 1,
 	}
 }
 

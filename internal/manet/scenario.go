@@ -324,13 +324,8 @@ func build(p Params) *scenario {
 		dev.NumFilters = p.NumFilters
 		dev.Met = devMet
 
-		row, col := i/p.Grid, i%p.Grid
-		var start tuple.Point
-		if p.StartAtCells {
-			start = gen.CellRect(row, col, p.Grid, p.Space).Center()
-		} else {
-			start = tuple.Point{X: rng.Float64() * p.Space, Y: rng.Float64() * p.Space}
-		}
+		// Each device starts at the centre of its data's grid cell.
+		start := gen.CellRect(i/p.Grid, i%p.Grid, p.Grid, p.Space).Center()
 		var mob mobility.Model
 		switch {
 		case p.Static:

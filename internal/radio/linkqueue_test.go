@@ -37,7 +37,7 @@ func mobilityAt(x, y float64) linearModel { return linearModel{x0: x, y0: y} }
 func TestLinkQueueSerializesReceiver(t *testing.T) {
 	eng, med, rx := linkQueueMedium(t, 8)
 	p := fakePayload(64)
-	airtime := float64(64+med.Config().HeaderBytes) * 8 / med.Config().Bandwidth
+	airtime := float64(64+headerBytes) * 8 / med.Config().Bandwidth
 	nominal := airtime + med.Config().Overhead
 	for s := NodeID(1); s <= 3; s++ {
 		if n := med.Broadcast(s, p); n != 1 {

@@ -64,6 +64,9 @@ type FaultInjector interface {
 	TxEffects(now float64) (extraDelay float64, dupDelays []float64)
 }
 
+// headerBytes is added to every payload (MAC + network headers).
+const headerBytes = 48
+
 // Config parameterizes the medium.
 type Config struct {
 	// Range is the transmission radius in meters (802.11b outdoors ≈ 250).
@@ -74,8 +77,6 @@ type Config struct {
 	// Overhead is the fixed per-frame latency in seconds: MAC contention,
 	// preamble, propagation.
 	Overhead float64
-	// HeaderBytes is added to every payload (MAC + network headers).
-	HeaderBytes int
 	// Loss is an independent per-frame loss probability.
 	Loss float64
 	// FadeMargin models fading at the cell edge: reception probability
@@ -109,11 +110,10 @@ type Config struct {
 // field partitioned almost all the time.
 func DefaultConfig() Config {
 	return Config{
-		Range:       380,
-		Bandwidth:   2e6,
-		Overhead:    0.002,
-		HeaderBytes: 48,
-		Loss:        0,
+		Range:     380,
+		Bandwidth: 2e6,
+		Overhead:  0.002,
+		Loss:      0,
 	}
 }
 
@@ -412,7 +412,7 @@ func (m *Medium) FirstNeighborExcept(id NodeID, except []NodeID) NodeID {
 // txDelay computes the serialized transmission start and airtime for one
 // frame from the given node, advancing the node's busy horizon.
 func (m *Medium) txDelay(from NodeID, sizeBytes int) (start, airtime float64) {
-	bits := float64(sizeBytes+m.cfg.HeaderBytes) * 8
+	bits := float64(sizeBytes+headerBytes) * 8
 	airtime = bits / m.cfg.Bandwidth
 	start = m.eng.Now()
 	if bu := m.busyUntil[from]; bu > start {
@@ -559,7 +559,7 @@ func (m *Medium) Unicast(from, to NodeID, p Payload) bool {
 	start, airtime := m.txDelay(from, size)
 	m.Counters.FramesSent++
 	m.Counters.Unicasts++
-	m.Counters.BytesSent += size + m.cfg.HeaderBytes
+	m.Counters.BytesSent += size + headerBytes
 	slot := m.getSlot()
 	d := &m.inflight[slot]
 	d.from = from
@@ -615,7 +615,7 @@ func (m *Medium) Broadcast(from NodeID, p Payload) int {
 	start, airtime := m.txDelay(from, size)
 	m.Counters.FramesSent++
 	m.Counters.Broadcasts++
-	m.Counters.BytesSent += size + m.cfg.HeaderBytes
+	m.Counters.BytesSent += size + headerBytes
 	nrecv := len(d.to)
 	if nrecv == 0 {
 		m.putSlot(slot)

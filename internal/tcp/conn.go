@@ -57,7 +57,7 @@ type peerConn struct {
 func newPeerConn(p *Peer, id core.DeviceID) *peerConn {
 	pc := &peerConn{
 		p: p, id: id,
-		queue: make(chan outFrame, p.cfg.SendQueueLen),
+		queue: make(chan outFrame, sendQueueLen),
 		br:    newBreaker(p.cfg.BreakerThreshold, p.cfg.BreakerCooldown),
 	}
 	if p.cfg.Registry != nil {
@@ -121,7 +121,7 @@ func (pc *peerConn) run() {
 			conn.Close()
 		}
 	}()
-	idle := time.NewTimer(p.cfg.IdleConnTimeout)
+	idle := time.NewTimer(idleConnTimeout)
 	defer idle.Stop()
 	for {
 		select {
@@ -134,14 +134,14 @@ func (pc *peerConn) run() {
 				default:
 				}
 			}
-			idle.Reset(p.cfg.IdleConnTimeout)
+			idle.Reset(idleConnTimeout)
 		case <-idle.C:
 			if conn != nil {
 				conn.Close()
 				conn = nil
 				p.met.ConnsReaped.Inc()
 			}
-			idle.Reset(p.cfg.IdleConnTimeout)
+			idle.Reset(idleConnTimeout)
 		case <-p.ctx.Done():
 			pc.drain(conn)
 			return
@@ -156,7 +156,7 @@ func (pc *peerConn) run() {
 // so the waiting query learns immediately instead of idling to deadline.
 func (pc *peerConn) deliver(conn net.Conn, f outFrame) net.Conn {
 	p := pc.p
-	backoff := p.cfg.ReconnectBackoff
+	backoff := reconnectBackoff
 	for attempt := 0; ; attempt++ {
 		if time.Since(f.enq) > p.cfg.RetryTimeout {
 			p.met.DeadLetters.Inc()
@@ -201,8 +201,8 @@ func (pc *peerConn) deliver(conn net.Conn, f outFrame) net.Conn {
 					return nil // shutting down
 				}
 				backoff *= 2
-				if backoff > p.cfg.ReconnectBackoffMax {
-					backoff = p.cfg.ReconnectBackoffMax
+				if backoff > reconnectBackoffMax {
+					backoff = reconnectBackoffMax
 				}
 				continue
 			}
@@ -272,12 +272,12 @@ func (pc *peerConn) sleep(d time.Duration) bool {
 	}
 }
 
-// drain gives queued frames one best-effort flush within DrainTimeout so a
+// drain gives queued frames one best-effort flush within drainTimeout so a
 // graceful shutdown does not strand results already computed (e.g. replies
 // to a query that arrived just before Close).
 func (pc *peerConn) drain(conn net.Conn) {
 	p := pc.p
-	deadline := time.Now().Add(p.cfg.DrainTimeout)
+	deadline := time.Now().Add(drainTimeout)
 	for {
 		select {
 		case f := <-pc.queue:

@@ -7,22 +7,6 @@ import (
 	"manetskyline/internal/core"
 )
 
-// LeaseRegistrar is the Resolver extension for TTL-leased registration.
-// A leased entry must be refreshed by heartbeat before the TTL lapses or
-// it decays: first to suspect (still resolvable, in case the peer only
-// missed a beat), then to down, at which point Lookup stops returning it
-// and the flood fan-out prunes the peer.
-type LeaseRegistrar interface {
-	RegisterLease(id core.DeviceID, addr string, ttl time.Duration) error
-}
-
-// Heartbeater is the Resolver extension peers use to refresh their lease.
-// It reports false when the directory no longer knows the peer, which
-// tells the caller to re-register in full.
-type Heartbeater interface {
-	Heartbeat(id core.DeviceID) bool
-}
-
 // LeaseState classifies a directory entry's liveness.
 type LeaseState int
 

@@ -16,10 +16,20 @@ import (
 // and neighbours. Directory is the in-process implementation;
 // DirectoryClient resolves against a DirectoryServer over TCP, which is
 // what separate skypeer processes use. Implementations may additionally
-// support LeaseRegistrar, Heartbeater, and Invalidator.
+// support Invalidator.
 type Resolver interface {
-	// Register records a peer's address.
+	// Register records a peer's address permanently.
 	Register(id core.DeviceID, addr string)
+	// RegisterLease records a peer's address under a TTL lease. A leased
+	// entry must be refreshed by Heartbeat before the TTL lapses or it
+	// decays: first to suspect (still resolvable, in case the peer only
+	// missed a beat), then to down, at which point Lookup stops returning
+	// it and the flood fan-out prunes the peer.
+	RegisterLease(id core.DeviceID, addr string, ttl time.Duration) error
+	// Heartbeat refreshes a peer's lease. It reports false when the
+	// directory no longer knows the peer, which tells the caller to
+	// re-register in full.
+	Heartbeat(id core.DeviceID) bool
 	// Lookup resolves a peer's address.
 	Lookup(id core.DeviceID) (string, bool)
 }

@@ -51,26 +51,9 @@ type Config struct {
 	// WriteTimeout bounds one frame write on an established connection
 	// (0 ⇒ DialTimeout).
 	WriteTimeout time.Duration
-	// ReadIdleTimeout closes an inbound connection that stays silent this
-	// long (0 ⇒ 2 minutes).
-	ReadIdleTimeout time.Duration
-	// SendQueueLen bounds each neighbour link's send queue; a full queue
-	// dead-letters new frames (0 ⇒ 128).
-	SendQueueLen int
 	// RetryTimeout bounds how long a queued frame is retried across
 	// reconnects before it is dead-lettered (0 ⇒ QueryTimeout).
 	RetryTimeout time.Duration
-	// ReconnectBackoff is the delay before the first redial of a failed
-	// link; each further attempt doubles it up to ReconnectBackoffMax
-	// (0 ⇒ 25ms, capped at 1s).
-	ReconnectBackoff    time.Duration
-	ReconnectBackoffMax time.Duration
-	// IdleConnTimeout reaps an outbound connection with nothing to send
-	// (0 ⇒ 30s).
-	IdleConnTimeout time.Duration
-	// DrainTimeout bounds the best-effort flush of queued frames during
-	// Close (0 ⇒ 200ms).
-	DrainTimeout time.Duration
 	// BreakerThreshold arms a per-neighbour circuit breaker: this many
 	// consecutive dial failures open it, after which frames to the peer are
 	// dropped immediately (failing their quorum slot) instead of burning
@@ -80,13 +63,11 @@ type Config struct {
 	// half-open probe through (0 ⇒ 2s when breakers are armed).
 	BreakerCooldown time.Duration
 	// LeaseTTL, when positive, registers the peer with a directory lease of
-	// this duration and starts a heartbeat loop that keeps it alive; an
-	// expired lease makes the peer invisible to Lookup, pruning it from
-	// every other peer's flood fan-out. Zero keeps the original permanent
-	// registration.
+	// this duration and starts a heartbeat loop that refreshes it every
+	// LeaseTTL/3; an expired lease makes the peer invisible to Lookup,
+	// pruning it from every other peer's flood fan-out. Zero keeps the
+	// original permanent registration.
 	LeaseTTL time.Duration
-	// HeartbeatInterval is the lease refresh period (0 ⇒ LeaseTTL/3).
-	HeartbeatInterval time.Duration
 	// Registry, when non-nil, receives live tcp_* and core_* metrics from
 	// this peer (exposed over /metrics by cmd/skypeer).
 	Registry *telemetry.Registry
@@ -106,6 +87,25 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+// The link tuning no caller varies.
+const (
+	// readIdleTimeout closes an inbound connection that stays silent this
+	// long.
+	readIdleTimeout = 2 * time.Minute
+	// sendQueueLen bounds each neighbour link's send queue; a full queue
+	// dead-letters new frames.
+	sendQueueLen = 128
+	// reconnectBackoff is the delay before the first redial of a failed
+	// link; each further attempt doubles it up to reconnectBackoffMax.
+	reconnectBackoff    = 25 * time.Millisecond
+	reconnectBackoffMax = time.Second
+	// idleConnTimeout reaps an outbound connection with nothing to send.
+	idleConnTimeout = 30 * time.Second
+	// drainTimeout bounds the best-effort flush of queued frames during
+	// Close.
+	drainTimeout = 200 * time.Millisecond
+)
+
 // DefaultConfig returns settings suitable for localhost demos and tests.
 func DefaultConfig() Config {
 	return Config{
@@ -123,10 +123,7 @@ func (c Config) Validate() error {
 	if c.Quorum <= 0 || c.Quorum > 1 {
 		return fmt.Errorf("tcp: quorum %g outside (0,1]", c.Quorum)
 	}
-	if c.WriteTimeout < 0 || c.ReadIdleTimeout < 0 || c.RetryTimeout < 0 ||
-		c.ReconnectBackoff < 0 || c.ReconnectBackoffMax < 0 ||
-		c.IdleConnTimeout < 0 || c.DrainTimeout < 0 ||
-		c.LeaseTTL < 0 || c.HeartbeatInterval < 0 || c.SendQueueLen < 0 ||
+	if c.WriteTimeout < 0 || c.RetryTimeout < 0 || c.LeaseTTL < 0 ||
 		c.BreakerThreshold < 0 || c.BreakerCooldown < 0 {
 		return fmt.Errorf("tcp: negative transport tuning field")
 	}
@@ -142,29 +139,8 @@ func (c Config) withDefaults() Config {
 	if c.WriteTimeout == 0 {
 		c.WriteTimeout = c.DialTimeout
 	}
-	if c.ReadIdleTimeout == 0 {
-		c.ReadIdleTimeout = 2 * time.Minute
-	}
-	if c.SendQueueLen == 0 {
-		c.SendQueueLen = 128
-	}
 	if c.RetryTimeout == 0 {
 		c.RetryTimeout = c.QueryTimeout
-	}
-	if c.ReconnectBackoff == 0 {
-		c.ReconnectBackoff = 25 * time.Millisecond
-	}
-	if c.ReconnectBackoffMax == 0 {
-		c.ReconnectBackoffMax = time.Second
-	}
-	if c.IdleConnTimeout == 0 {
-		c.IdleConnTimeout = 30 * time.Second
-	}
-	if c.DrainTimeout == 0 {
-		c.DrainTimeout = 200 * time.Millisecond
-	}
-	if c.HeartbeatInterval == 0 && c.LeaseTTL > 0 {
-		c.HeartbeatInterval = c.LeaseTTL / 3
 	}
 	if c.BreakerCooldown == 0 && c.BreakerThreshold > 0 {
 		c.BreakerCooldown = 2 * time.Second
@@ -259,13 +235,11 @@ func NewPeer(id core.DeviceID, ts []tuple.Tuple, schema tuple.Schema,
 }
 
 // register performs the initial directory registration, leased when
-// configured and the resolver supports leases.
+// configured.
 func (p *Peer) register() error {
 	addr := p.ln.Addr().String()
 	if p.cfg.LeaseTTL > 0 {
-		if lr, ok := p.dir.(LeaseRegistrar); ok {
-			return lr.RegisterLease(p.dev.ID, addr, p.cfg.LeaseTTL)
-		}
+		return p.dir.RegisterLease(p.dev.ID, addr, p.cfg.LeaseTTL)
 	}
 	p.dir.Register(p.dev.ID, addr)
 	return nil
@@ -276,14 +250,13 @@ func (p *Peer) register() error {
 // full re-registration.
 func (p *Peer) heartbeatLoop() {
 	defer p.wg.Done()
-	hb, hasHB := p.dir.(Heartbeater)
-	t := time.NewTicker(p.cfg.HeartbeatInterval)
+	t := time.NewTicker(p.cfg.LeaseTTL / 3)
 	defer t.Stop()
 	for {
 		select {
 		case <-t.C:
 			p.met.Heartbeats.Inc()
-			if hasHB && hb.Heartbeat(p.dev.ID) {
+			if p.dir.Heartbeat(p.dev.ID) {
 				continue
 			}
 			if err := p.register(); err != nil {
@@ -336,7 +309,7 @@ func (p *Peer) AddNeighbor(id core.DeviceID) {
 
 // Close shuts the peer down gracefully: pending queries complete
 // immediately with whatever merged so far, queued outbound frames get one
-// best-effort flush within DrainTimeout, and every listener, connection,
+// best-effort flush within drainTimeout, and every listener, connection,
 // and goroutine (accept, serve, writer, heartbeat) is torn down before
 // Close returns.
 func (p *Peer) Close() {
@@ -404,7 +377,7 @@ func (p *Peer) serve(conn net.Conn) {
 	ob := &outbox{p: p}
 	br := bufio.NewReaderSize(conn, wire.ReadBufferSize)
 	for {
-		conn.SetReadDeadline(time.Now().Add(p.cfg.ReadIdleTimeout))
+		conn.SetReadDeadline(time.Now().Add(readIdleTimeout))
 		msg, ctx, traced, err := wire.ReadFrameCtx(br)
 		if err != nil {
 			return // EOF, idle timeout, or shutdown
