@@ -50,9 +50,11 @@ type Metrics struct {
 	Heartbeats        *telemetry.Counter
 	HeartbeatFailures *telemetry.Counter
 	// MessagesIn/Out and BytesIn/Out count framed protocol messages and
-	// their wire bytes (payload plus the 4-byte length prefix). The out
-	// side counts each write attempt as it starts, so it never trails the
-	// receiver's count.
+	// their wire bytes: the 4-byte header word, the 10-byte trace context
+	// of a traced frame, and the payload (wire.FrameWireSize). The in side
+	// counts each frame as it is read. The out side counts a frame once,
+	// after its write succeeds; a failed attempt is not counted. So the out
+	// count can briefly trail a receiver that has already read the frame.
 	MessagesIn  *telemetry.Counter
 	MessagesOut *telemetry.Counter
 	BytesIn     *telemetry.Counter
