@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"manetskyline/internal/gen"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden sweep tables")
@@ -22,11 +20,9 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden sweep tables")
 func TestFig8Fig12Golden(t *testing.T) {
 	goldens := map[string][]byte{}
 	for _, w := range []int{1, 4} {
-		withWorkers(t, w, func() {
-			drr, _, msgs := simFiguresFresh(Small, gen.Independent, "fig8", "fig10")
-			goldens["fig8-small.golden"] = renderAll(t, drr)
-			goldens["fig12-small.golden"] = renderAll(t, []*Table{msgs})
-		})
+		sw := smallSweep(t, w)
+		goldens["fig8-small.golden"] = renderAll(t, sw.drr)
+		goldens["fig12-small.golden"] = renderAll(t, []*Table{sw.msgs})
 		for name, got := range goldens {
 			path := filepath.Join("testdata", name)
 			if *updateGolden {

@@ -60,6 +60,31 @@ func TestForEachRunsEveryJobExactlyOnce(t *testing.T) {
 	})
 }
 
+// sweepTables is one fresh Small fig8/fig10 sweep: its DRR, response-time
+// and message tables.
+type sweepTables struct {
+	drr, resp []*Table
+	msgs      *Table
+}
+
+// smallSweeps holds one sweep per worker count, which TestFig8Fig12Golden and
+// TestParallelSweepDeterministic share. Neither runs in parallel.
+var smallSweeps = map[int]sweepTables{}
+
+// smallSweep returns the fresh Small sweep run under w workers, computing it
+// on first use.
+func smallSweep(t *testing.T, w int) sweepTables {
+	t.Helper()
+	sw, ok := smallSweeps[w]
+	if !ok {
+		withWorkers(t, w, func() {
+			sw.drr, sw.resp, sw.msgs = simFiguresFresh(Small, gen.Independent, "fig8", "fig10")
+		})
+		smallSweeps[w] = sw
+	}
+	return sw
+}
+
 // renderAll emits tables to one byte stream for comparison.
 func renderAll(t *testing.T, tables []*Table) []byte {
 	t.Helper()
@@ -74,17 +99,14 @@ func renderAll(t *testing.T, tables []*Table) []byte {
 // sweep engine must emit tables byte-identical to the serial (-workers=1)
 // harness, for both the MANET simulation sweep and the static pre-tests.
 func TestParallelSweepDeterministic(t *testing.T) {
-	var serialSim, parallelSim, serialStatic, parallelStatic []byte
-	withWorkers(t, 1, func() {
-		drr, resp, msgs := simFiguresFresh(Small, gen.Independent, "fig8", "fig10")
-		serialSim = renderAll(t, append(append(append([]*Table{}, drr...), resp...), msgs))
-		serialStatic = renderAll(t, staticFigure(Small, gen.Independent, "fig6"))
-	})
-	withWorkers(t, 4, func() {
-		drr, resp, msgs := simFiguresFresh(Small, gen.Independent, "fig8", "fig10")
-		parallelSim = renderAll(t, append(append(append([]*Table{}, drr...), resp...), msgs))
-		parallelStatic = renderAll(t, staticFigure(Small, gen.Independent, "fig6"))
-	})
+	sim := func(w int) []byte {
+		sw := smallSweep(t, w)
+		return renderAll(t, append(append(append([]*Table{}, sw.drr...), sw.resp...), sw.msgs))
+	}
+	serialSim, parallelSim := sim(1), sim(4)
+	var serialStatic, parallelStatic []byte
+	withWorkers(t, 1, func() { serialStatic = renderAll(t, staticFigure(Small, gen.Independent, "fig6")) })
+	withWorkers(t, 4, func() { parallelStatic = renderAll(t, staticFigure(Small, gen.Independent, "fig6")) })
 	if !bytes.Equal(serialSim, parallelSim) {
 		t.Errorf("simulation sweep diverges between -workers=1 and -workers=4:\nserial:\n%s\nparallel:\n%s", serialSim, parallelSim)
 	}

@@ -60,14 +60,18 @@ func Desktop() CostModel {
 	}
 }
 
-// Validate checks that all constants are non-negative.
+// Validate checks that all constants are non-negative. It checks them in
+// declaration order, so the error names the first negative one.
 func (c CostModel) Validate() error {
-	for name, v := range map[string]float64{
-		"Fixed": c.Fixed, "PerTuple": c.PerTuple, "PerIDCmp": c.PerIDCmp,
-		"PerValCmp": c.PerValCmp, "PerDist": c.PerDist,
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Fixed", c.Fixed}, {"PerTuple", c.PerTuple}, {"PerIDCmp", c.PerIDCmp},
+		{"PerValCmp", c.PerValCmp}, {"PerDist", c.PerDist},
 	} {
-		if v < 0 {
-			return fmt.Errorf("device: negative cost %s = %g", name, v)
+		if f.v < 0 {
+			return fmt.Errorf("device: negative cost %s = %g", f.name, f.v)
 		}
 	}
 	return nil

@@ -18,6 +18,17 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateNamesFirstNegative makes two costs negative: the error must
+// name the first in declaration order every time, not one of them at random.
+func TestValidateNamesFirstNegative(t *testing.T) {
+	bad := CostModel{PerTuple: -1, PerDist: -2}
+	for range 20 {
+		if err := bad.Validate(); err == nil || err.Error() != "device: negative cost PerTuple = -1" {
+			t.Fatalf("Validate = %v, want the PerTuple error", err)
+		}
+	}
+}
+
 func TestTimeComposition(t *testing.T) {
 	m := CostModel{Fixed: 1, PerTuple: 2, PerIDCmp: 3, PerValCmp: 5, PerDist: 7}
 	s := localsky.Stats{Scanned: 1, IDCmp: 1, ValCmp: 1, DistChecks: 1}

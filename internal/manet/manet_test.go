@@ -243,46 +243,6 @@ func TestMessagesCounted(t *testing.T) {
 	}
 }
 
-func TestDeterministicRuns(t *testing.T) {
-	p := smallParams(BreadthFirst)
-	a, b := Run(p), Run(p)
-	if len(a.Queries) != len(b.Queries) {
-		t.Fatalf("query counts differ: %d vs %d", len(a.Queries), len(b.Queries))
-	}
-	for i := range a.Queries {
-		qa, qb := a.Queries[i], b.Queries[i]
-		if qa.Key != qb.Key || qa.Issued != qb.Issued ||
-			qa.Done != qb.Done || qa.ResponseTime != qb.ResponseTime ||
-			qa.Messages != qb.Messages || qa.Acc != qb.Acc {
-			t.Fatalf("query %d diverged:\n%+v\n%+v", i, qa, qb)
-		}
-	}
-	if a.Radio != b.Radio || a.Aodv != b.Aodv {
-		t.Errorf("substrate counters diverged")
-	}
-}
-
-// TestRunIsBitDeterministic repeats the 100-device benchmark scenario, where
-// mobility breaks enough links for devices to lose several routes at once,
-// and demands the same run every time. Go randomizes map iteration per
-// range statement, so any event order taken from a map shows here within a
-// few repetitions: the RERR order out of aodv's route table did, as a frame
-// or two per run.
-func TestRunIsBitDeterministic(t *testing.T) {
-	t.Parallel()
-	for _, strategy := range []Forwarding{BreadthFirst, DepthFirst} {
-		p := benchScenarioParams(strategy)
-		first := Run(p)
-		for rep := 1; rep < 5; rep++ {
-			out := Run(p)
-			if out.Events != first.Events || out.Radio != first.Radio || out.Aodv != first.Aodv {
-				t.Fatalf("%v: run %d of one seed diverged from the first:\nevents %d vs %d\nradio  %+v\n   vs  %+v\naodv   %+v\n   vs  %+v",
-					strategy, rep, out.Events, first.Events, out.Radio, first.Radio, out.Aodv, first.Aodv)
-			}
-		}
-	}
-}
-
 func TestMobileScenarioRuns(t *testing.T) {
 	p := DefaultParams()
 	p.Grid = 4

@@ -1,40 +1,32 @@
 package manet
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-// TestScaleKnobs runs a moderate scenario with every scale gate open —
-// capped originators, struct-of-arrays mobility, and route-installing
-// floods — and checks the system still answers queries.
+// TestScaleKnobs checks that the scale_bf and scale_df rows, which open every
+// scale gate (capped originators, struct-of-arrays mobility and
+// route-installing floods), still answer queries, and that scale_bf takes
+// the path the scale workload does: flood routes replace AODV discovery, and
+// the bounded link queues drop frames.
 func TestScaleKnobs(t *testing.T) {
-	p := DefaultParams()
-	p.Grid = 6
-	p.GlobalN = 3000
-	p.SimTime = 1200
-	p.MinQueries, p.MaxQueries = 1, 1
-	p.Originators = 5
-	p.CompactMobility = true
-	p.FloodRoutes = true
-	p.QueryDeadline = 300
-	p.Seed = 4
-
-	out := Run(p)
-	if len(out.Queries) == 0 {
-		t.Fatal("no queries issued")
-	}
-	if len(out.Queries) > p.Originators {
-		t.Fatalf("%d queries from %d originators", len(out.Queries), p.Originators)
-	}
-	done := 0
-	for _, q := range out.Queries {
-		if q.Done {
-			done++
+	t.Parallel()
+	for _, row := range []string{"scale_bf", "scale_df"} {
+		run := rowRun(t, row, false)
+		out, origs := run.out, run.row.p.Originators
+		if len(out.Queries) == 0 || len(out.Queries) > origs {
+			t.Errorf("%s: %d queries from %d originators", row, len(out.Queries), origs)
 		}
-	}
-	if done == 0 {
-		t.Fatalf("none of %d queries completed", len(out.Queries))
-	}
-	if out.Radio.FramesSent == 0 || out.Aodv.DataDelivered == 0 {
-		t.Fatalf("substrate idle: radio=%+v aodv=%+v", out.Radio, out.Aodv)
+		if !slices.ContainsFunc(out.Queries, func(q *QueryMetrics) bool { return q.Done }) {
+			t.Errorf("%s: none of %d queries completed", row, len(out.Queries))
+		}
+		if out.Radio.FramesSent == 0 || out.Aodv.DataDelivered == 0 {
+			t.Errorf("%s: substrate idle: radio=%+v aodv=%+v", row, out.Radio, out.Aodv)
+		}
+		if row == "scale_bf" && (out.Aodv.RREQSent != 0 || out.Radio.DroppedQueue == 0) {
+			t.Errorf("scale_bf: %d RREQs and %d queue drops, want none and some", out.Aodv.RREQSent, out.Radio.DroppedQueue)
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"manetskyline/internal/core"
 	"manetskyline/internal/faults"
 	"manetskyline/internal/telemetry"
 )
@@ -114,6 +115,49 @@ func pinnedDF100Params() Params {
 	return p
 }
 
+// scaleParams is bench.ScenarioLarge's scale path, written out here because
+// manet cannot import bench: one device per 125 m cell on a 15×15 grid, four
+// tuples each, range 250, the struct-of-arrays mobility.Field, flood-installed
+// reverse routes, 16-frame link queues, four originators with one query
+// each, and the deadline at half of the 120 s run.
+func scaleParams(s Forwarding) Params {
+	p := DefaultParams()
+	p.Grid, p.SimTime = 15, 120
+	p.GlobalN = 4 * p.Grid * p.Grid
+	p.Space = 125 * float64(p.Grid)
+	p.Mobility.Space = p.Space
+	p.QueryDist = 250
+	p.Strategy = s
+	p.MinQueries, p.MaxQueries = 1, 1
+	p.Originators = 4
+	p.QueryDeadline = p.SimTime / 2
+	p.Radio.Range = 250
+	p.Radio.LinkQueue = 16
+	p.CompactMobility = true
+	p.FloodRoutes = true
+	return p
+}
+
+// knobAxes are the knobs that change a run's output, each a row over a base
+// row where the knob moves the per-query metrics, not only the spans;
+// TestKnobRowsMove checks that the row differs from its base.
+var knobAxes = []struct {
+	name, base string
+	set        func(*Params)
+}{
+	// The static 4×4 grid is multi-hop, so a two-hop sample reaches devices
+	// a one-hop sample does not.
+	{"knob_sample_ttl2", "sf_static_none", func(p *Params) { p.SampleTTL = 2 }},
+	{"knob_filters3", "bf_static_none", func(p *Params) { p.NumFilters = 3 }},
+	{"knob_dim4", "bf_static_none", func(p *Params) { p.Dim = 4 }},
+	{"knob_overlap", "bf_static_none", func(p *Params) { p.Overlap = 0.2 }},
+	// SF's originator picks its filter set by the estimated VDR.
+	{"knob_exact", "sf_static_none", func(p *Params) { p.Mode = core.Exact }},
+	{"knob_over", "sf_static_none", func(p *Params) { p.Mode = core.Over }},
+	// A DF walk carries its filter from device to device.
+	{"knob_static_filter", "df_static_none", func(p *Params) { p.Dynamic = false }},
+}
+
 // digestRow is one row of TestScenarioDigests: a named simulator input whose
 // whole output is pinned by one line of digestFile.
 type digestRow struct {
@@ -122,8 +166,9 @@ type digestRow struct {
 }
 
 // scenarios is the corpus: the small goldens, the runs earlier fixes were
-// measured on, 100-device BF and DF runs, and every strategy, static and
-// mobile, under no faults, each built-in plan and allDrawsPlan.
+// measured on, 100-device BF and DF runs, the benchmark's 100-device
+// scenario and its scale path, every strategy, static and mobile, under no
+// faults, each built-in plan and allDrawsPlan, and the knob axes.
 func scenarios() []digestRow {
 	set := func(p Params, f func(*Params)) Params {
 		f(&p)
@@ -181,6 +226,13 @@ func scenarios() []digestRow {
 			p.SubtreeTimeout = 10
 		})},
 		{name: "bf100", p: set(pinnedDF100Params(), func(p *Params) { p.Strategy = BreadthFirst })},
+		// Mobility breaks enough links here for devices to lose several
+		// routes at once, so a route-error order taken from a map shows.
+		{name: "bench_bf", p: benchScenarioParams(BreadthFirst)},
+		{name: "bench_df", p: benchScenarioParams(DepthFirst)},
+		{name: "bench_sf", p: benchScenarioParams(SamplingFilter)},
+		{name: "scale_bf", p: scaleParams(BreadthFirst)},
+		{name: "scale_df", p: scaleParams(DepthFirst)},
 	}
 	slug := strings.NewReplacer("+", "_", "-", "_")
 	for _, s := range allStrategies {
@@ -197,6 +249,10 @@ func scenarios() []digestRow {
 				rows = append(rows, digestRow{name: name, p: p})
 			}
 		}
+	}
+	for _, k := range knobAxes {
+		i := slices.IndexFunc(rows, func(r digestRow) bool { return r.name == k.base })
+		rows = append(rows, digestRow{name: k.name, p: set(rows[i].p, k.set)})
 	}
 	return rows
 }
@@ -358,6 +414,36 @@ func checkScenario(t *testing.T, r digestRow, out *Outcome) {
 // The tests below hold rows to what -update cannot rewrite: full text,
 // properties each row is in the corpus for, and repeat runs.
 
+// checkRerun runs each named row once more in the same process and demands
+// the shared run's whole digest line again. TestScenarioDigests holds each
+// row to its checked-in line; together they are the simulator's one
+// determinism gate, so an event order taken from a map fails one or both.
+func checkRerun(t *testing.T, rows ...string) {
+	t.Helper()
+	for _, name := range rows {
+		run := rowRun(t, name, false)
+		if again := runScenario(run.row); again.line != run.line {
+			t.Errorf("%s: a second run in the same process diverged: %s", name, digestDiff(run.line, again.line))
+		}
+	}
+}
+
+// TestDeterministicRuns reruns the small_bf row in the same process.
+func TestDeterministicRuns(t *testing.T) {
+	t.Parallel()
+	checkRerun(t, "small_bf")
+}
+
+// TestRunIsBitDeterministic reruns the 100-device BF and DF benchmark rows,
+// where mobility breaks enough links for devices to lose several routes at
+// once. The RERR order out of aodv's route table once came from map
+// iteration, as a frame or two per run; two such runs often agree with each
+// other, so the rows' checked-in lines are what catch it every time.
+func TestRunIsBitDeterministic(t *testing.T) {
+	t.Parallel()
+	checkRerun(t, "bench_bf", "bench_df")
+}
+
 // TestTraceGolden checks that the span JSONL skytrace reads decodes to the
 // run's spans, and keeps golden_bf's as full text in trace_small.spans.jsonl.
 // Regenerate with: go test ./internal/manet -run TraceGolden -update
@@ -388,9 +474,7 @@ func TestTraceGolden(t *testing.T) {
 // selection, sampling and scheduling draw only from seeded state.
 func TestSFTraceGolden(t *testing.T) {
 	t.Parallel()
-	if run := rowRun(t, "golden_sf", false); !bytes.Equal(runScenario(run.row).spans, run.spans) {
-		t.Errorf("two SF runs with the same seed produced different spans")
-	}
+	checkRerun(t, "golden_sf")
 }
 
 // TestBFGoldensUnchangedBySF pins the span hashes of two BF rows in source,
@@ -421,10 +505,7 @@ func TestFaultGoldenCrashPartition(t *testing.T) {
 // same process: the schedule and the fault evaluator's stream must replay.
 func TestFaultGoldenDeterministic(t *testing.T) {
 	t.Parallel()
-	run := rowRun(t, "fault_crash_partition", false)
-	if again := runScenario(run.row); again.line != run.line {
-		t.Errorf("faulty run diverged: %s", digestDiff(run.line, again.line))
-	}
+	checkRerun(t, "fault_crash_partition")
 }
 
 // TestFaultFreePlanIsByteIdentical demands that an empty fault plan leaves
@@ -451,6 +532,20 @@ func TestFaultGoldenAllDraws(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestKnobRowsMove checks that each knob row's per-query metrics or spans
+// differ from its base row's: a row whose knob no longer takes effect pins
+// nothing its base does not.
+func TestKnobRowsMove(t *testing.T) {
+	t.Parallel()
+	for _, k := range knobAxes {
+		got := digestFields(rowRun(t, k.name, false).line)
+		base := digestFields(rowRun(t, k.base, false).line)
+		if got["queries"] == base["queries"] && got["spans"] == base["spans"] {
+			t.Errorf("%s: queries and spans equal %s's", k.name, k.base)
+		}
 	}
 }
 
@@ -513,17 +608,19 @@ func TestDFPinned100(t *testing.T) {
 	}
 }
 
+// digestFields maps each field of a digest line to its value.
+func digestFields(line string) map[string]string {
+	m := map[string]string{}
+	for _, f := range strings.Fields(line)[1:] {
+		k, v, _ := strings.Cut(f, "=")
+		m[k] = v
+	}
+	return m
+}
+
 // digestDiff names every field of two digest lines whose value differs.
 func digestDiff(want, got string) string {
-	fields := func(line string) map[string]string {
-		m := map[string]string{}
-		for _, f := range strings.Fields(line)[1:] {
-			k, v, _ := strings.Cut(f, "=")
-			m[k] = v
-		}
-		return m
-	}
-	w, g := fields(want), fields(got)
+	w, g := digestFields(want), digestFields(got)
 	var moved []string
 	for k, gv := range g {
 		if wv := w[k]; wv != gv {

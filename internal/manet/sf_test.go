@@ -9,7 +9,6 @@ import (
 	"manetskyline/internal/faults"
 	"manetskyline/internal/gen"
 	"manetskyline/internal/skyline"
-	"manetskyline/internal/telemetry"
 )
 
 // TestSFDistributedEqualsCentralizedStatic is the SF end-to-end correctness
@@ -195,20 +194,21 @@ func TestRecallFloorSF(t *testing.T) {
 	}
 }
 
-// TestSFBytesBeatBF is the communication-optimality claim on the benchmark
-// scenario (the paper's 10×10 mobile grid): SF must put fewer query-layer
+// TestSFBytesBeatBF is the communication-optimality claim on the bench_bf and
+// bench_sf rows (the paper's 10×10 mobile grid): SF must put fewer query-layer
 // bytes on the air than BF. In a multi-hop network BF's cost is dominated
 // by shipping every device's reduced skyline home; SF's extra flood round
 // buys a filter set strong enough that mostly-empty survivor messages
 // travel instead.
 func TestSFBytesBeatBF(t *testing.T) {
-	bytesFor := func(strategy Forwarding) int64 {
-		p := benchScenarioParams(strategy)
-		p.Metrics = telemetry.NewRegistry()
-		Run(p)
-		return p.Metrics.Counter("manet_query_bytes_sent_total", "").Value()
+	t.Parallel()
+	bytesFor := func(row string) (n int) {
+		for _, q := range rowRun(t, row, false).out.Queries {
+			n += q.Bytes
+		}
+		return n
 	}
-	bf, sf := bytesFor(BreadthFirst), bytesFor(SamplingFilter)
+	bf, sf := bytesFor("bench_bf"), bytesFor("bench_sf")
 	t.Logf("query bytes on air: BF=%d SF=%d (%.1f%%)", bf, sf, 100*float64(sf)/float64(bf))
 	if sf >= bf {
 		t.Errorf("SF put %d query bytes on air, BF only %d", sf, bf)
