@@ -11,11 +11,16 @@
 //
 //	skysim -grid 10 -n 10000 -strategy SF -filterk 2
 //
-// With -nodes it instead runs the large-scale preset (constant-density
-// geometry, compact mobility, flood-installed routes, per-link queues) and
-// reports simulator throughput and memory:
+// -nodes picks the scale preset (manet.ScaleParams: constant-density
+// geometry, compact mobility, flood-installed routes, per-link queues) as the
+// base scenario in place of the paper's; every flag given still applies over
+// it, and the run and its report are the same:
 //
 //	skysim -nodes 30000 -strategy BF
+//
+// -time 0, the default, keeps the base scenario's own duration: 7200
+// simulated seconds for the paper's scenario, 300 for the preset. Every
+// report gives the run's wall time, events/sec and peak RSS.
 //
 // -spans writes every query's timeline in the span JSONL format that
 // skypeer serves at /trace.jsonl, so skytrace reads a simulated run:
@@ -28,8 +33,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
+	"time"
 
-	"manetskyline/internal/bench"
 	"manetskyline/internal/core"
 	"manetskyline/internal/faults"
 	"manetskyline/internal/gen"
@@ -39,143 +46,113 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "skysim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		grid     = flag.Int("grid", 5, "grid side length (devices = grid²)")
-		n        = flag.Int("n", 50000, "global relation cardinality")
-		dim      = flag.Int("dim", 2, "non-spatial attributes (2-5)")
-		dist     = flag.String("dist", "IN", "attribute distribution: IN|AC|CO")
-		d        = flag.Float64("d", 250, "query distance of interest")
-		strategy = flag.String("strategy", "BF", "forwarding: BF|DF|SF")
-		mode     = flag.String("mode", "UNE", "VDR estimation: EXT|OVE|UNE")
-		dynamic  = flag.Bool("dynamic", true, "dynamic filter updates")
-		filters  = flag.Int("filters", 1, "filtering tuples per query (§7 multi-filter extension)")
-		filterK  = flag.Int("filterk", 0, "SF broadcast filter-set size (0 = default)")
-		sampleK  = flag.Int("samplek", 0, "SF per-device sample budget (0 = default)")
-		sampleW  = flag.Float64("samplewait", 0, "SF sample-collection window in simulated seconds (0 = default)")
-		sampleT  = flag.Int("samplettl", 0, "SF sampling-round flood TTL in hops (0 = default)")
-		simTime  = flag.Float64("time", 7200, "simulated seconds")
-		minQ     = flag.Int("minq", 1, "min queries per device")
-		maxQ     = flag.Int("maxq", 5, "max queries per device")
-		static   = flag.Bool("static", false, "disable mobility")
-		fade     = flag.Float64("fade", 0, "radio gray-zone fade margin in [0,1]")
-		loss     = flag.Float64("loss", 0, "independent frame loss probability")
-		redist   = flag.Bool("redistribute", false, "hand relations to devices closer to the data (§7 extension)")
-		faultsIn = flag.String("faults", "", "fault plan: a builtin name ("+
-			"crash, pause, partition, crash+partition, lossy-center, chaos, churn) or a JSON plan file")
-		recall     = flag.Bool("recall", false, "score every result against the centralized skyline oracle")
-		retries    = flag.Int("retries", 0, "originator re-issues per query (0 disables)")
-		backoff    = flag.Float64("backoff", 15, "delay before the first re-issue, doubling per attempt")
-		backoffMax = flag.Float64("backoffmax", 120, "cap on the retry backoff (0 = uncapped)")
-		deadline   = flag.Float64("deadline", 0, "per-query deadline in simulated seconds (0 disables)")
-		ackTO      = flag.Float64("acktimeout", 5, "DF neighbour acknowledgement timeout")
-		subtreeTO  = flag.Float64("subtreetimeout", 300, "DF child subtree result timeout")
-		seed       = flag.Int64("seed", 1, "random seed")
-		nodes      = flag.Int("nodes", 0, "run the large-scale preset with this many devices (ignores most other flags)")
-		scaleTime  = flag.Float64("scaletime", 0, "simulated seconds for the -nodes preset (0 = preset default)")
-		scaleOrig  = flag.Int("originators", 0, "query issuers for the -nodes preset (0 = preset default)")
-		metrics    = flag.String("metrics", "", `dump Prometheus-format metrics to this file ("-" for stdout)`)
-		spansOut   = flag.String("spans", "", `write per-query span timelines as JSONL, the format skytrace reads, to this file ("-" for stdout)`)
-		verbose    = flag.Bool("v", false, "print per-query metrics")
-	)
-	flag.Parse()
+// options are the flags that set no field of the scenario's Params.
+type options struct {
+	nodes                  int
+	simTime                float64
+	faults, metrics, spans string
+	verbose                bool
+}
 
-	if *nodes > 0 {
-		cfg := bench.LargeConfig{
-			Nodes:       *nodes,
-			SimTime:     *scaleTime,
-			Originators: *scaleOrig,
-			Seed:        *seed,
-		}
-		switch *strategy {
-		case "BF":
-			cfg.Strategy = manet.BreadthFirst
-		case "DF":
-			cfg.Strategy = manet.DepthFirst
-		case "SF":
-			cfg.Strategy = manet.SamplingFilter
-		default:
-			return fmt.Errorf("unknown strategy %q", *strategy)
-		}
-		fmt.Printf("scale preset: %d nodes requested, %v forwarding\n\n", *nodes, cfg.Strategy)
-		fmt.Print(bench.RunLarge(cfg).Report())
-		return nil
+// parse binds every scenario flag to its field of p, with the field's
+// current value as the flag's default, and parses args into p and the
+// returned options.
+func parse(p *manet.Params, args []string) options {
+	var o options
+	fs := flag.NewFlagSet("skysim", flag.ExitOnError)
+	fs.IntVar(&o.nodes, "nodes", 0, "base the scenario on the scale preset with this many devices")
+	fs.IntVar(&p.Grid, "grid", p.Grid, "grid side length (devices = grid²)")
+	fs.IntVar(&p.GlobalN, "n", p.GlobalN, "global relation cardinality")
+	fs.IntVar(&p.Dim, "dim", p.Dim, "non-spatial attributes (2-5)")
+	fs.Var(named[gen.Distribution]{&p.Dist, []gen.Distribution{gen.Independent, gen.AntiCorrelated, gen.Correlated}},
+		"dist", "attribute distribution: IN|AC|CO")
+	fs.Float64Var(&p.QueryDist, "d", p.QueryDist, "query distance of interest")
+	fs.Var(named[manet.Forwarding]{&p.Strategy, []manet.Forwarding{manet.BreadthFirst, manet.DepthFirst, manet.SamplingFilter}},
+		"strategy", "forwarding: BF|DF|SF")
+	fs.Var(named[core.Estimation]{&p.Mode, []core.Estimation{core.Exact, core.Over, core.Under}},
+		"mode", "VDR estimation: EXT|OVE|UNE")
+	fs.BoolVar(&p.Dynamic, "dynamic", p.Dynamic, "dynamic filter updates")
+	fs.IntVar(&p.NumFilters, "filters", p.NumFilters, "filtering tuples per query (§7 multi-filter extension; 0 and 1 mean one)")
+	fs.IntVar(&p.FilterK, "filterk", p.FilterK, "SF broadcast filter-set size (0 = default)")
+	fs.IntVar(&p.SampleK, "samplek", p.SampleK, "SF per-device sample budget (0 = default)")
+	fs.Float64Var(&p.SampleWait, "samplewait", p.SampleWait, "SF sample-collection window in simulated seconds (0 = default)")
+	fs.IntVar(&p.SampleTTL, "samplettl", p.SampleTTL, "SF sampling-round flood TTL in hops (0 = default)")
+	fs.Float64Var(&o.simTime, "time", 0, "simulated seconds (0 = the scenario's own: 7200, or 300 with -nodes)")
+	fs.IntVar(&p.MinQueries, "minq", p.MinQueries, "min queries per device")
+	fs.IntVar(&p.MaxQueries, "maxq", p.MaxQueries, "max queries per device")
+	fs.BoolVar(&p.Static, "static", p.Static, "disable mobility")
+	fs.Float64Var(&p.Radio.FadeMargin, "fade", p.Radio.FadeMargin, "radio gray-zone fade margin in [0,1]")
+	fs.Float64Var(&p.Radio.Loss, "loss", p.Radio.Loss, "independent frame loss probability")
+	fs.BoolVar(&p.Redistribute, "redistribute", p.Redistribute, "hand relations to devices closer to the data (§7 extension)")
+	fs.StringVar(&o.faults, "faults", "", "fault plan: a builtin name ("+
+		"crash, pause, partition, crash+partition, lossy-center, chaos, churn) or a JSON plan file")
+	fs.BoolVar(&p.Recall, "recall", p.Recall, "score every result against the centralized skyline oracle")
+	fs.IntVar(&p.QueryRetries, "retries", p.QueryRetries, "originator re-issues per query (0 disables)")
+	fs.Float64Var(&p.RetryBackoff, "backoff", p.RetryBackoff, "delay before the first re-issue, doubling per attempt")
+	fs.Float64Var(&p.RetryBackoffMax, "backoffmax", p.RetryBackoffMax, "cap on the retry backoff (0 = uncapped)")
+	fs.Float64Var(&p.QueryDeadline, "deadline", p.QueryDeadline, "per-query deadline in simulated seconds (0 disables)")
+	fs.Float64Var(&p.AckTimeout, "acktimeout", p.AckTimeout, "DF neighbour acknowledgement timeout")
+	fs.Float64Var(&p.SubtreeTimeout, "subtreetimeout", p.SubtreeTimeout, "DF child subtree result timeout")
+	fs.Int64Var(&p.Seed, "seed", p.Seed, "random seed")
+	fs.StringVar(&o.metrics, "metrics", "", `dump Prometheus-format metrics to this file ("-" for stdout)`)
+	fs.StringVar(&o.spans, "spans", "", `write per-query span timelines as JSONL, the format skytrace reads, to this file ("-" for stdout)`)
+	fs.BoolVar(&o.verbose, "v", false, "print per-query metrics")
+	fs.Parse(args)
+	return o
+}
+
+// named is a flag over an enumeration whose String method names its values.
+type named[T fmt.Stringer] struct {
+	v   *T
+	all []T
+}
+
+func (n named[T]) String() string {
+	if n.v == nil {
+		return ""
 	}
+	return (*n.v).String()
+}
 
+func (n named[T]) Set(s string) error {
+	for _, c := range n.all {
+		if c.String() == s {
+			*n.v = c
+			return nil
+		}
+	}
+	return fmt.Errorf("not one of %v", n.all)
+}
+
+func run(args []string) error {
 	p := manet.DefaultParams()
-	p.Grid = *grid
-	p.GlobalN = *n
-	p.Dim = *dim
-	p.QueryDist = *d
-	p.Dynamic = *dynamic
-	p.NumFilters = *filters
-	p.FilterK = *filterK
-	p.SampleK = *sampleK
-	p.SampleWait = *sampleW
-	p.SampleTTL = *sampleT
-	p.SimTime = *simTime
-	p.MinQueries, p.MaxQueries = *minQ, *maxQ
-	p.Static = *static
-	p.Radio.FadeMargin = *fade
-	p.Radio.Loss = *loss
-	p.Redistribute = *redist
-	p.Recall = *recall
-	p.QueryRetries = *retries
-	p.RetryBackoff = *backoff
-	p.RetryBackoffMax = *backoffMax
-	p.QueryDeadline = *deadline
-	p.AckTimeout = *ackTO
-	p.SubtreeTimeout = *subtreeTO
-	p.Seed = *seed
-	if *faultsIn != "" {
-		plan, err := faults.Load(*faultsIn, p.NumDevices(), p.SimTime)
+	o := parse(&p, args)
+	if o.nodes > 0 {
+		// The preset replaces the paper's scenario as the base, and the
+		// flags given are parsed again over it.
+		p = manet.ScaleParams(manet.ScaleConfig{Nodes: o.nodes, Strategy: p.Strategy, SimTime: o.simTime, Seed: p.Seed})
+		o = parse(&p, args)
+	} else if o.simTime != 0 {
+		p.SimTime = o.simTime
+	}
+	if o.faults != "" {
+		plan, err := faults.Load(o.faults, p.NumDevices(), p.SimTime)
 		if err != nil {
 			return err
 		}
 		p.Faults = plan
 	}
-	if *metrics != "" {
+	if o.metrics != "" {
 		p.Metrics = telemetry.NewRegistry()
 	}
-	if *spansOut != "" {
+	if o.spans != "" {
 		p.Spans = telemetry.NewSpanLog()
-	}
-
-	switch *dist {
-	case "IN":
-		p.Dist = gen.Independent
-	case "AC":
-		p.Dist = gen.AntiCorrelated
-	case "CO":
-		p.Dist = gen.Correlated
-	default:
-		return fmt.Errorf("unknown distribution %q", *dist)
-	}
-	switch *strategy {
-	case "BF":
-		p.Strategy = manet.BreadthFirst
-	case "DF":
-		p.Strategy = manet.DepthFirst
-	case "SF":
-		p.Strategy = manet.SamplingFilter
-	default:
-		return fmt.Errorf("unknown strategy %q", *strategy)
-	}
-	switch *mode {
-	case "EXT":
-		p.Mode = core.Exact
-	case "OVE":
-		p.Mode = core.Over
-	case "UNE":
-		p.Mode = core.Under
-	default:
-		return fmt.Errorf("unknown estimation mode %q", *mode)
 	}
 	if err := p.Validate(); err != nil {
 		return err
@@ -184,9 +161,11 @@ func run() error {
 	fmt.Printf("scenario: %d devices, %d tuples (%v, %d attrs), d=%g, %v/%v dynamic=%v, %gs simulated\n",
 		p.NumDevices(), p.GlobalN, p.Dist, p.Dim, p.QueryDist, p.Strategy, p.Mode, p.Dynamic, p.SimTime)
 
+	start := time.Now()
 	out := manet.Run(p)
+	wall := time.Since(start)
 
-	if *verbose {
+	if o.verbose {
 		fmt.Println("\nper-query metrics:")
 		for _, q := range out.Queries {
 			status := "incomplete"
@@ -268,14 +247,19 @@ func run() error {
 		}
 	}
 	fmt.Printf("events executed:  %d\n", out.Events)
+	fmt.Printf("wall time:        %.2fs, %.0f events/sec", wall.Seconds(), float64(out.Events)/wall.Seconds())
+	if rss := peakRSS(); rss > 0 {
+		fmt.Printf(", peak RSS %.1f MiB", float64(rss)/(1<<20))
+	}
+	fmt.Println()
 
-	if *metrics != "" {
-		if err := dumpTo(*metrics, p.Metrics.WritePrometheus); err != nil {
+	if o.metrics != "" {
+		if err := dumpTo(o.metrics, p.Metrics.WritePrometheus); err != nil {
 			return err
 		}
 	}
-	if *spansOut != "" {
-		if err := dumpTo(*spansOut, p.Spans.WriteJSONL); err != nil {
+	if o.spans != "" {
+		if err := dumpTo(o.spans, p.Spans.WriteJSONL); err != nil {
 			return err
 		}
 	}
@@ -296,4 +280,29 @@ func dumpTo(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// peakRSS reads the process's resident-set high-water mark from
+// /proc/self/status (VmHWM, reported in kB). Returns 0 when the file or
+// field is unavailable (non-Linux hosts).
+func peakRSS() uint64 {
+	data, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if !strings.HasPrefix(line, "VmHWM:") {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) < 2 {
+			return 0
+		}
+		kb, err := strconv.ParseUint(fields[1], 10, 64)
+		if err != nil {
+			return 0
+		}
+		return kb << 10
+	}
+	return 0
 }

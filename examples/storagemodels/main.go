@@ -44,9 +44,9 @@ func main() {
 			start := time.Now()
 			var count int
 			if h, ok := rel.(*storage.Hybrid); ok {
-				count = len(localsky.HybridSkyline(h, localsky.Query{}, nil, nil).Skyline)
+				count = len(localsky.HybridSkylineScratch(h, localsky.Query{}, nil, nil, nil).Skyline)
 			} else {
-				count = len(localsky.BNLSkyline(rel, localsky.Query{}, nil, nil).Skyline)
+				count = len(localsky.BNLSkylineScratch(rel, localsky.Query{}, nil, nil, nil).Skyline)
 			}
 			times[di] = time.Since(start)
 			_ = count

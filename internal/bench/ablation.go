@@ -46,9 +46,9 @@ func AblationStorage(sc Scale) []*Table {
 			}
 			t0 := time.Now()
 			if h, ok := rel.(*storage.Hybrid); ok {
-				localsky.HybridSkyline(h, localsky.Query{}, nil, nil)
+				localsky.HybridSkylineScratch(h, localsky.Query{}, nil, nil, nil)
 			} else {
-				localsky.BNLSkyline(rel, localsky.Query{}, nil, nil)
+				localsky.BNLSkylineScratch(rel, localsky.Query{}, nil, nil, nil)
 			}
 			timeMS[di] = time.Since(t0).Seconds() * 1e3
 			kib = float64(rel.MemBytes()) / 1024
@@ -122,10 +122,10 @@ func AblationSpatialIndex(sc Scale) []*Table {
 	}
 	for _, d := range []float64{50, 100, 250, 500, 1500} {
 		t0 := time.Now()
-		plain := localsky.HybridSkyline(rel, localsky.Query{Pos: center, D: d}, nil, nil)
+		plain := localsky.HybridSkylineScratch(rel, localsky.Query{Pos: center, D: d}, nil, nil, nil)
 		scanUS := float64(time.Since(t0).Microseconds())
 		t0 = time.Now()
-		idx := localsky.HybridSkyline(rel, localsky.Query{Pos: center, D: d, SpatialIndex: true}, nil, nil)
+		idx := localsky.HybridSkylineScratch(rel, localsky.Query{Pos: center, D: d, SpatialIndex: true}, nil, nil, nil)
 		idxUS := float64(time.Since(t0).Microseconds())
 		t.AddRow(d, scanUS, idxUS, plain.Stats.Scanned, idx.Stats.Scanned)
 	}

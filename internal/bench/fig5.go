@@ -26,12 +26,12 @@ func runLocal(n, dim int, dist gen.Distribution, seed int64) localRun {
 
 	hs := storage.NewHybrid(data)
 	t0 := time.Now()
-	hres := localsky.HybridSkyline(hs, q, nil, nil)
+	hres := localsky.HybridSkylineScratch(hs, q, nil, nil, nil)
 	hsHost := time.Since(t0).Seconds()
 
 	fs := storage.NewFlat(data)
 	t0 = time.Now()
-	fres := localsky.BNLSkyline(fs, q, nil, nil)
+	fres := localsky.BNLSkylineScratch(fs, q, nil, nil, nil)
 	fsHost := time.Since(t0).Seconds()
 
 	return localRun{

@@ -1,217 +1,11 @@
 package bench
 
-import (
-	"fmt"
-	"os"
-	"runtime"
-	"strconv"
-	"strings"
-	"time"
+import "manetskyline/internal/manet"
 
-	"manetskyline/internal/gen"
-	"manetskyline/internal/manet"
-)
+// LargeConfig is manet.ScaleConfig. It exists only for benchmark/sim.go,
+// until the next change to the benchmark calls manet.ScaleParams itself.
+type LargeConfig = manet.ScaleConfig
 
-// This file is the 30k-100k node scale harness. The paper's experiments stop
-// at 100 devices (Table 6); everything here probes how far the simulator
-// itself carries beyond that — struct-of-arrays node state, compact events,
-// the epoch grid, and per-link transmit modeling are exactly the machinery
-// this sweep exercises.
-//
-// Geometry keeps density constant instead of the figure sweeps' fixed 1 km²
-// field: the cell side stays at largeCellSide regardless of node count, so
-// the spatial domain grows as grid·largeCellSide and every node sees
-// ~π·Range²/cellSide² ≈ 12 neighbours whether the network has 1k or 100k
-// devices. A fixed field would turn 100k nodes into a single collision
-// domain and measure nothing but broadcast storms.
-
-const (
-	// largeCellSide is the per-device cell side in meters (one device per
-	// cell). With largeRange = 250 the mean degree is π·250²/125² ≈ 12.6.
-	largeCellSide = 125.0
-	// largeRange is the radio range for scale runs.
-	largeRange = 250.0
-	// largeTuplesPerDevice keeps local relations small: the sweep measures
-	// simulator throughput, not skyline processing cost.
-	largeTuplesPerDevice = 4
-)
-
-// LargeConfig parameterizes one scale-sweep point.
-type LargeConfig struct {
-	// Nodes is the requested device count; the actual count is the next
-	// perfect square (one device per grid cell).
-	Nodes int
-	// Strategy selects BF or DF forwarding.
-	Strategy manet.Forwarding
-	// SimTime is the simulated duration in seconds (0 ⇒ 300).
-	SimTime float64
-	// Originators caps how many devices issue queries (0 ⇒ 4). At 30k+
-	// devices letting everyone flood measures queue collapse, not
-	// throughput.
-	Originators int
-	// Seed drives all randomness (0 ⇒ 1).
-	Seed int64
-}
-
-// ScenarioLarge builds the manet.Params for one scale point: constant
-// density geometry, compact struct-of-arrays mobility, flood-installed
-// reverse routes, bounded per-link transmit queues, and an epoch grid fed
-// by the mobility speed bound.
-func ScenarioLarge(cfg LargeConfig) manet.Params {
-	grid := 1
-	for grid*grid < cfg.Nodes {
-		grid++
-	}
-	p := manet.DefaultParams()
-	p.Grid = grid
-	p.GlobalN = largeTuplesPerDevice * grid * grid
-	p.Dim = 2
-	p.Dist = gen.Independent
-	p.Space = largeCellSide * float64(grid)
-	p.Mobility.Space = p.Space
-	p.QueryDist = largeRange
-	p.Strategy = cfg.Strategy
-
-	p.SimTime = cfg.SimTime
-	if p.SimTime <= 0 {
-		p.SimTime = 300
-	}
-	p.MinQueries, p.MaxQueries = 1, 1
-	p.Originators = cfg.Originators
-	if p.Originators <= 0 {
-		p.Originators = 4
-	}
-	// DF serializes the traversal over every device, so at scale it cannot
-	// finish inside any reasonable horizon; the deadline finalizes partial
-	// results instead of leaving queries open.
-	p.QueryDeadline = p.SimTime / 2
-
-	p.Radio.Range = largeRange
-	p.Radio.LinkQueue = 16
-	p.CompactMobility = true
-	p.FloodRoutes = true
-
-	p.Seed = cfg.Seed
-	if p.Seed == 0 {
-		p.Seed = 1
-	}
-	return p
-}
-
-// LargeResult is one scale point's measurements.
-type LargeResult struct {
-	Devices int
-	Grid    int
-	Space   float64
-
-	Events       uint64
-	Wall         time.Duration
-	EventsPerSec float64
-
-	// HeapGrowth is the OS-claimed heap growth (runtime MemStats.Sys
-	// delta) across the run — a proxy for the run's peak live footprint.
-	HeapGrowth   uint64
-	BytesPerNode float64
-	// PeakRSS is the process high-water mark from /proc/self/status
-	// (VmHWM); 0 where the proc filesystem is unavailable.
-	PeakRSS uint64
-
-	Queries, Completed, Partial int
-	FramesSent, Receptions      int
-	DroppedQueue                int
-	RREQSent, DataDelivered     int
-}
-
-// RunLarge executes one scale point and measures it.
-func RunLarge(cfg LargeConfig) LargeResult {
-	p := ScenarioLarge(cfg)
-
-	runtime.GC()
-	var m0 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-
-	start := time.Now()
-	out := manet.Run(p)
-	wall := time.Since(start)
-
-	var m1 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-
-	r := LargeResult{
-		Devices: p.NumDevices(),
-		Grid:    p.Grid,
-		Space:   p.Space,
-		Events:  out.Events,
-		Wall:    wall,
-
-		HeapGrowth: m1.Sys - m0.Sys,
-		PeakRSS:    peakRSS(),
-
-		Queries:       len(out.Queries),
-		FramesSent:    out.Radio.FramesSent,
-		Receptions:    out.Radio.Receptions,
-		DroppedQueue:  out.Radio.DroppedQueue,
-		RREQSent:      out.Aodv.RREQSent,
-		DataDelivered: out.Aodv.DataDelivered,
-	}
-	for _, q := range out.Queries {
-		if q.Done {
-			r.Completed++
-		}
-		if q.Partial {
-			r.Partial++
-		}
-	}
-	if s := wall.Seconds(); s > 0 {
-		r.EventsPerSec = float64(r.Events) / s
-	}
-	r.BytesPerNode = float64(r.HeapGrowth) / float64(r.Devices)
-	return r
-}
-
-// Report renders the result as the scale sweep's standard block.
-func (r LargeResult) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "devices:        %d (%d×%d grid, %.0f m field)\n",
-		r.Devices, r.Grid, r.Grid, r.Space)
-	fmt.Fprintf(&b, "events:         %d in %.2fs wall (%.0f events/sec)\n",
-		r.Events, r.Wall.Seconds(), r.EventsPerSec)
-	fmt.Fprintf(&b, "memory:         %.0f bytes/node heap growth", r.BytesPerNode)
-	if r.PeakRSS > 0 {
-		fmt.Fprintf(&b, ", peak RSS %.1f MiB", float64(r.PeakRSS)/(1<<20))
-	}
-	b.WriteString("\n")
-	fmt.Fprintf(&b, "queries:        %d issued, %d completed (%d partial)\n",
-		r.Queries, r.Completed, r.Partial)
-	fmt.Fprintf(&b, "radio:          %d frames sent, %d receptions, %d queue drops\n",
-		r.FramesSent, r.Receptions, r.DroppedQueue)
-	fmt.Fprintf(&b, "routing:        %d RREQ, %d data delivered\n",
-		r.RREQSent, r.DataDelivered)
-	return b.String()
-}
-
-// peakRSS reads the process's resident-set high-water mark from
-// /proc/self/status (VmHWM, reported in kB). Returns 0 when the file or
-// field is unavailable (non-Linux hosts) — callers fall back to the heap
-// growth figure.
-func peakRSS() uint64 {
-	data, err := os.ReadFile("/proc/self/status")
-	if err != nil {
-		return 0
-	}
-	for _, line := range strings.Split(string(data), "\n") {
-		if !strings.HasPrefix(line, "VmHWM:") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return 0
-		}
-		kb, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			return 0
-		}
-		return kb << 10
-	}
-	return 0
-}
+// ScenarioLarge is manet.ScaleParams. It exists only for benchmark/sim.go,
+// until the next change to the benchmark calls manet.ScaleParams itself.
+func ScenarioLarge(cfg LargeConfig) manet.Params { return manet.ScaleParams(cfg) }

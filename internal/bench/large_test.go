@@ -3,6 +3,7 @@ package bench
 import (
 	"os"
 	"testing"
+	"time"
 
 	"manetskyline/internal/manet"
 )
@@ -12,14 +13,14 @@ func TestScenarioLargeGeometry(t *testing.T) {
 	if p.Grid != 32 || p.NumDevices() != 1024 {
 		t.Fatalf("1000 nodes → grid %d (%d devices), want 32 (1024)", p.Grid, p.NumDevices())
 	}
-	if p.Space != largeCellSide*32 {
-		t.Fatalf("space %g, want %g", p.Space, largeCellSide*32)
+	if p.Space != 125*32 {
+		t.Fatalf("space %g, want %g", p.Space, 125.0*32)
 	}
 	if p.Mobility.Space != p.Space {
 		t.Fatalf("mobility space %g diverges from field %g", p.Mobility.Space, p.Space)
 	}
-	if !p.CompactMobility || !p.FloodRoutes || p.Radio.LinkQueue <= 0 {
-		t.Fatal("scale knobs not engaged")
+	if p.Radio.LinkQueue <= 0 {
+		t.Fatal("link queues not bounded")
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatalf("invalid params: %v", err)
@@ -28,21 +29,19 @@ func TestScenarioLargeGeometry(t *testing.T) {
 
 func TestRunLargeSmall(t *testing.T) {
 	for _, s := range []manet.Forwarding{manet.BreadthFirst, manet.DepthFirst} {
-		r := RunLarge(LargeConfig{Nodes: 400, Strategy: s, SimTime: 120})
-		if r.Devices != 400 {
-			t.Fatalf("%v: devices %d, want 400", s, r.Devices)
+		p := ScenarioLarge(LargeConfig{Nodes: 400, Strategy: s, SimTime: 120})
+		if p.NumDevices() != 400 {
+			t.Fatalf("%v: devices %d, want 400", s, p.NumDevices())
 		}
-		if r.Events == 0 || r.EventsPerSec <= 0 {
-			t.Fatalf("%v: no events executed (%+v)", s, r)
+		out := manet.Run(p)
+		if out.Events == 0 {
+			t.Fatalf("%v: no events executed", s)
 		}
-		if r.Queries == 0 || r.Completed == 0 {
-			t.Fatalf("%v: queries %d completed %d — scale scenario inert", s, r.Queries, r.Completed)
+		if out.CompletionRate() == 0 {
+			t.Fatalf("%v: %d queries, none completed — scale scenario inert", s, len(out.Queries))
 		}
-		if r.FramesSent == 0 {
+		if out.Radio.FramesSent == 0 {
 			t.Fatalf("%v: radio idle", s)
-		}
-		if r.Report() == "" {
-			t.Fatalf("%v: empty report", s)
 		}
 	}
 }
@@ -55,18 +54,23 @@ func TestScaleSmoke30k(t *testing.T) {
 	if os.Getenv("SCALE_SMOKE") == "" {
 		t.Skip("set SCALE_SMOKE=1 to run the 30k-node smoke test")
 	}
-	r := RunLarge(LargeConfig{Nodes: 30000, Strategy: manet.BreadthFirst, SimTime: 300})
-	t.Logf("\n%s", r.Report())
-	if r.Devices < 30000 {
-		t.Fatalf("devices %d < 30000", r.Devices)
+	p := ScenarioLarge(LargeConfig{Nodes: 30000, Strategy: manet.BreadthFirst, SimTime: 300})
+	start := time.Now()
+	out := manet.Run(p)
+	wall := time.Since(start)
+	eps := float64(out.Events) / wall.Seconds()
+	t.Logf("%d devices: %d events in %.2fs wall (%.0f events/sec), %.0f%% of %d queries completed",
+		p.NumDevices(), out.Events, wall.Seconds(), eps, 100*out.CompletionRate(), len(out.Queries))
+	if p.NumDevices() < 30000 {
+		t.Fatalf("devices %d < 30000", p.NumDevices())
 	}
-	if r.Completed == 0 {
+	if out.CompletionRate() == 0 {
 		t.Fatal("no queries completed at 30k nodes")
 	}
 	// Throughput floor: the struct-of-arrays engine clears well over a
 	// million events/sec on developer hardware; 200k/sec catches an
 	// order-of-magnitude regression without flaking on slow CI runners.
-	if r.EventsPerSec < 200_000 {
-		t.Fatalf("throughput %.0f events/sec below the 200k floor", r.EventsPerSec)
+	if eps < 200_000 {
+		t.Fatalf("throughput %.0f events/sec below the 200k floor", eps)
 	}
 }

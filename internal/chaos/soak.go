@@ -93,17 +93,6 @@ func (s *SoakResult) MeanRecall() float64 {
 	return sum / float64(len(s.Queries))
 }
 
-// Completed counts queries that reached their quorum before timing out.
-func (s *SoakResult) Completed() int {
-	n := 0
-	for _, q := range s.Queries {
-		if q.Complete {
-			n++
-		}
-	}
-	return n
-}
-
 // Soak runs the scenario. The oracle is liveness-aware: each query's ground
 // truth is the constrained skyline over the union of the datasets of peers
 // alive at issue time — a crashed device's tuples are gone and no protocol

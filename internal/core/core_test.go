@@ -78,32 +78,47 @@ func TestEstimationString(t *testing.T) {
 func TestQueryLog(t *testing.T) {
 	l := NewQueryLog()
 	k := QueryKey{Org: 3, Cnt: 1}
-	if l.Processed(k) {
-		t.Errorf("fresh log should not report processed")
-	}
 	if !l.FirstTime(k) {
 		t.Errorf("first arrival should be new")
 	}
 	if l.FirstTime(k) {
 		t.Errorf("second arrival must be suppressed")
 	}
-	if !l.Processed(k) {
-		t.Errorf("query should be recorded")
+	// Another originator's counters are its own.
+	if !l.FirstTime(QueryKey{Org: 4, Cnt: 1}) {
+		t.Errorf("another originator's first query should be new")
 	}
-	// A later query from the same device replaces the stored counter.
+	// A later query is new, and a late copy of the earlier one stays a
+	// duplicate.
 	k2 := QueryKey{Org: 3, Cnt: 2}
 	if !l.FirstTime(k2) {
 		t.Errorf("new counter should be accepted")
 	}
-	// The byte counter wraps: cnt 1 after 255 queries is again "new".
-	if !l.FirstTime(QueryKey{Org: 3, Cnt: 1}) {
-		t.Errorf("wrapped counter should be accepted after replacement")
+	if l.FirstTime(k) {
+		t.Errorf("a late copy of an earlier query must be suppressed")
 	}
-	if l.Len() != 1 {
-		t.Errorf("one originator tracked, got %d", l.Len())
+	// Queries may arrive out of order: an earlier one first seen after a
+	// later one is new, once.
+	k5 := QueryKey{Org: 3, Cnt: 5}
+	k4 := QueryKey{Org: 3, Cnt: 4}
+	if !l.FirstTime(k5) || !l.FirstTime(k4) || l.FirstTime(k4) || l.FirstTime(k5) {
+		t.Errorf("out-of-order queries should each be new exactly once")
+	}
+	// The byte counter wraps: cnt 1 after 256 queries is again new, and a
+	// counter more than 64 queries behind the newest is stale.
+	for c := 6; c <= 256; c++ {
+		if !l.FirstTime(QueryKey{Org: 3, Cnt: uint8(c)}) {
+			t.Fatalf("counter %d should be new", c)
+		}
+	}
+	if !l.FirstTime(QueryKey{Org: 3, Cnt: 1}) {
+		t.Errorf("wrapped counter should be accepted")
+	}
+	if l.FirstTime(QueryKey{Org: 3, Cnt: 190}) {
+		t.Errorf("a counter 67 queries behind the newest should be stale")
 	}
 	l.Reset()
-	if l.Len() != 0 || l.Processed(k) {
+	if !l.FirstTime(k) {
 		t.Errorf("reset should clear the log")
 	}
 }

@@ -198,9 +198,9 @@ type Flood struct {
 	Opt FloodOptions
 
 	orig map[QueryKey]*origin
-	// local holds SF receiver state by originator: a device keeps one
-	// query in flight per originator (the QueryLog contract), so a newer
-	// query replaces the older one's entry.
+	// local holds SF receiver state by originator: the newest query's
+	// entry, which a newer query replaces and an older one, arriving late,
+	// leaves in place.
 	local map[DeviceID]*sfLocal
 	// walks holds DF state of the walks this device relays. A relay drops
 	// its entry once it has reported its subtree result.
@@ -492,13 +492,16 @@ func (f *Flood) localOf(key QueryKey) *sfLocal {
 }
 
 // keep stores the local skyline res computed for SF query key, replacing
-// any state of the originator's earlier query.
+// any state of the originator's earlier query. The state of an older query
+// is returned but not stored, so it never displaces a newer query's.
 func (f *Flood) keep(key QueryKey, res localsky.Result) *sfLocal {
 	if f.local == nil {
 		f.local = make(map[DeviceID]*sfLocal)
 	}
 	ls := &sfLocal{key: key, skyline: res.Skyline, unreduced: res.Unreduced}
-	f.local[key.Org] = ls
+	if held := f.local[key.Org]; held == nil || newer(key.Cnt, held.key.Cnt) >= 0 {
+		f.local[key.Org] = ls
+	}
 	return ls
 }
 

@@ -98,9 +98,14 @@ func (n *chanNet) next() int {
 	return eligible[n.pick(len(eligible))]
 }
 
-// run drains the queue, firing armed timers whenever it runs dry.
+// run drains the queue, firing armed timers whenever it runs dry. A run
+// that has not drained after maxSteps steps is a flood that never ends.
 func (n *chanNet) run() {
-	for len(n.queue) > 0 || len(n.armed) > 0 {
+	const maxSteps = 1 << 16
+	for steps := 0; len(n.queue) > 0 || len(n.armed) > 0; steps++ {
+		if steps == maxSteps {
+			n.t.Fatalf("no quiescence after %d steps: %d steps pending", maxSteps, len(n.queue))
+		}
 		if len(n.queue) == 0 {
 			a := n.armed[0]
 			n.armed = n.armed[1:]
@@ -383,6 +388,83 @@ func TestFloodMachineFilterDuringPendingProcessing(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		fl.Receive(&filt, io)
+	}
+	if n.survivors[x] != 1 {
+		t.Errorf("device sent survivors %d times, want 1", n.survivors[x])
+	}
+}
+
+// TestFloodMachineOverlappingQueries keeps two BF queries of one
+// originator in flight at once over the 3×3 channel, delivered in FIFO
+// order, so copies of the earlier query reach devices after the later one
+// did. Each device must process each query once, and both must complete
+// with the exact result: a late copy of the earlier query is a duplicate,
+// not a new query that floods again.
+func TestFloodMachineOverlappingQueries(t *testing.T) {
+	const dist = 450
+	n, all := newGridNet(t, BreadthFirst)
+	n.pick = func(int) int { return 0 }
+	for _, org := range []DeviceID{0, 4} {
+		d := n.fls[org].Dev
+		pos := d.Rel.MBR().Center()
+		var keys []QueryKey
+		for range 2 {
+			q, res := d.Originate(pos, dist)
+			n.fls[org].Originate(q, res.Skyline, n.quorum, BreadthFirst, n.io(org))
+			keys = append(keys, q.Key())
+		}
+		n.run()
+		want := skyline.Constrained(all, pos, dist)
+		for _, key := range keys {
+			if !skyline.SetEqual(n.completed[key], want) {
+				t.Errorf("query %v: %d tuples, want %d", key, len(n.completed[key]), len(want))
+			}
+			for id, c := range n.processed[key] {
+				if DeviceID(id) != org && c != 1 {
+					t.Errorf("query %v: device %d processed it %d times", key, id, c)
+				}
+			}
+		}
+	}
+}
+
+// TestFloodMachineLateSampleRequest delivers an SF sample request of query
+// k to a device after it processed the sample request of k+1: the late
+// request is answered, but k+1's stored local skyline stays, so k+1's
+// filter flood is answered from it, once, with no second evaluation.
+func TestFloodMachineLateSampleRequest(t *testing.T) {
+	devs := staticDevices(t, 2000, 2, 3, gen.Independent, Under, true, 3)
+	n := newChanNet(t, devs, 3, FloodOptions{SampleK: 2, SampleTTL: 1, FilterK: 2})
+	var reqs []Msg
+	var filters []tuple.Tuple
+	for range 2 {
+		q, res := devs[0].Originate(devs[0].Rel.MBR().Center(), Unconstrained())
+		n.fls[0].Originate(q, res.Skyline, n.quorum, SamplingFilter, n.io(0))
+		bare := q.WithFilter(nil, 0)
+		bare.Extra = nil
+		reqs = append(reqs, Msg{Kind: MsgSampleReq, Q: bare, SampleK: 2, TTL: 1, Hops: 1})
+		filters = QuantizeFilters(res.Skyline[:1], devs[0].Schema)
+	}
+	n.queue = nil
+
+	const x = 1 // a neighbour of the originator
+	fl, io := n.fls[x], n.io(x)
+	for _, req := range []Msg{reqs[1], reqs[0]} {
+		fl.Receive(&req, io)
+		if len(n.queue) != 1 || !n.queue[0].done {
+			t.Fatalf("sample request %d: queue %+v, want one pending processing", req.Q.Cnt, n.queue)
+		}
+		pending := n.queue[0]
+		n.queue = nil
+		fl.Processed(&pending.m, pending.res, io)
+		n.queue = nil
+	}
+	filt := Msg{Kind: MsgFilters, Q: reqs[1].Q, Tuples: filters, Hops: 1}
+	for range 2 {
+		fl.Receive(&filt, io)
+	}
+	if c := n.processed[reqs[1].Q.Key()][x]; c != 1 {
+		t.Errorf("query %d processed %d times at device %d, want 1", reqs[1].Q.Cnt, c, x)
 	}
 	if n.survivors[x] != 1 {
 		t.Errorf("device sent survivors %d times, want 1", n.survivors[x])

@@ -85,57 +85,66 @@ type QueryKey struct {
 }
 
 // QueryLog is the per-device duplicate-suppression table of §3.4: a hash
-// table mapping originator id to the last seen query counter. Space is O(m)
-// in the number of devices; the check is O(1). It is safe for concurrent
-// use because the live peer runtime consults it from multiple goroutines.
+// table from originator id to the counters seen from it. Space is O(m) in
+// the number of devices; the check is O(1). It is safe for concurrent use
+// because the live peer runtime consults it from multiple goroutines.
 //
 // Counters are single bytes that wrap around (the paper resets them at
-// regular intervals); the log therefore treats a counter as "new" when it
-// differs from the last seen value, matching the paper's assumption that a
-// device only ever has one query in flight and cares only about its latest.
+// regular intervals), so they are compared by serial-number arithmetic
+// (RFC 1982): per originator the log keeps the newest counter seen and a
+// window of the 64 counters up to it. A counter ahead of the newest is new;
+// one inside the window is new once; one behind the window is stale. So
+// several queries of one originator may be in flight at once, and a late
+// copy of an older query never counts as new again, as long as no copy
+// arrives after 64 newer queries of its originator.
 type QueryLog struct {
 	mu   sync.Mutex
-	last map[DeviceID]uint8
+	seen map[DeviceID]counterWindow
+}
+
+// counterWindow is what a log holds of one originator: bit i of window is
+// set when counter high-i was seen.
+type counterWindow struct {
+	high   uint8
+	window uint64
 }
 
 // NewQueryLog returns an empty log.
 func NewQueryLog() *QueryLog {
-	return &QueryLog{last: make(map[DeviceID]uint8)}
+	return &QueryLog{seen: make(map[DeviceID]counterWindow)}
 }
 
 // FirstTime records the query and reports whether this device had NOT
-// already processed it: true exactly once per (id, cnt).
+// already processed it: true exactly once per (id, cnt), and false for a
+// counter too far behind the newest to tell.
 func (l *QueryLog) FirstTime(k QueryKey) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if c, ok := l.last[k.Org]; ok && c == k.Cnt {
+	w, ok := l.seen[k.Org]
+	switch d := newer(k.Cnt, w.high); {
+	case !ok:
+		w = counterWindow{high: k.Cnt, window: 1}
+	case d > 0:
+		w.high = k.Cnt
+		w.window = w.window<<uint(d) | 1
+	case d > -64 && w.window&(1<<uint(-d)) == 0:
+		w.window |= 1 << uint(-d)
+	default:
 		return false
 	}
-	l.last[k.Org] = k.Cnt
+	l.seen[k.Org] = w
 	return true
 }
 
-// Processed reports whether the query was already handled, without
-// recording anything.
-func (l *QueryLog) Processed(k QueryKey) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	c, ok := l.last[k.Org]
-	return ok && c == k.Cnt
-}
+// newer is how many queries counter c is ahead of counter h, negative when
+// it is behind, by serial-number arithmetic on the wrapping byte.
+func newer(c, h uint8) int { return int(int8(c - h)) }
 
 // Reset clears the log, modelling the paper's periodic counter reset.
 func (l *QueryLog) Reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.last = make(map[DeviceID]uint8)
-}
-
-// Len returns the number of originators tracked (the O(m) space bound).
-func (l *QueryLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.last)
+	l.seen = make(map[DeviceID]counterWindow)
 }
 
 // Unconstrained is the distance value that disables the spatial predicate.

@@ -126,9 +126,9 @@ func TestQuickFilterSafety(t *testing.T) {
 	}
 }
 
-// The query log accepts each (org, cnt) exactly once regardless of arrival
-// pattern, as long as counters don't interleave (the paper's one-query-in-
-// flight assumption).
+// The query log accepts each (org, cnt) exactly once when every copy of a
+// query arrives before its originator's next query; out-of-order arrivals
+// are TestQueryLog's and the flood tests' concern.
 func TestQuickQueryLogExactlyOnce(t *testing.T) {
 	f := func(orgs []uint8) bool {
 		l := NewQueryLog()

@@ -67,7 +67,7 @@ func TestHybridSkylineScratchMatchesPlain(t *testing.T) {
 		}
 		sc := GetScratch()
 		for _, tc := range queries {
-			want := HybridSkyline(rel, tc.q, tc.flt, tc.vdr)
+			want := HybridSkylineScratch(rel, tc.q, tc.flt, tc.vdr, nil)
 			got := HybridSkylineScratch(rel, tc.q, tc.flt, tc.vdr, sc)
 			t.Run(tc.name, func(t *testing.T) { equalResults(t, want, got) })
 		}
@@ -82,7 +82,7 @@ func TestBNLSkylineScratchMatchesPlain(t *testing.T) {
 	sc := GetScratch()
 	defer PutScratch(sc)
 	for _, q := range []Query{unconstrained(), {Pos: tuple.Point{X: 500, Y: 500}, D: 300}} {
-		want := BNLSkyline(rel, q, &flt, vdrExact(101, 101))
+		want := BNLSkylineScratch(rel, q, &flt, vdrExact(101, 101), nil)
 		got := BNLSkylineScratch(rel, q, &flt, vdrExact(101, 101), sc)
 		equalResults(t, want, got)
 	}
@@ -127,8 +127,9 @@ func benchmarkHybrid(b *testing.B, n, dim int, dist gen.Distribution, sc *Scratc
 	}
 }
 
-// BenchmarkHybridSkyline is the per-call-allocation baseline; compare with
-// BenchmarkHybridSkylineScratch via -benchmem to see the hot-path win.
+// BenchmarkHybridSkyline is the per-call-allocation baseline, a nil
+// Scratch; compare with BenchmarkHybridSkylineScratch via -benchmem to see
+// the hot-path win.
 func BenchmarkHybridSkyline(b *testing.B) {
 	for _, c := range []struct {
 		name string

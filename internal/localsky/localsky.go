@@ -103,7 +103,8 @@ type Result struct {
 	Stats Stats
 }
 
-// HybridSkyline runs the paper's Figure 4 algorithm against hybrid storage.
+// HybridSkylineScratch runs the paper's Figure 4 algorithm against hybrid
+// storage, evaluating through the given Scratch.
 //
 // Deviations from the figure's pseudo-code, both required for correctness:
 //
@@ -120,18 +121,14 @@ type Result struct {
 // The filter tuple must satisfy the query's spatial constraint (it is always
 // drawn from some device's constrained local skyline), which is what makes
 // pruning with it safe.
-func HybridSkyline(rel *storage.Hybrid, q Query, flt *tuple.Tuple, vdr VDRFunc) Result {
-	return HybridSkylineScratch(rel, q, flt, vdr, nil)
-}
-
-// HybridSkylineScratch is HybridSkyline evaluating through the given
-// Scratch, which eliminates every steady-state heap allocation on the
+//
+// The Scratch eliminates every steady-state heap allocation on the
 // non-spatial-index path: the decoded-ID buffer, the accepted-slot slice,
 // and the result tuples (including their attribute storage) all live in sc
 // and are reused across calls. The returned Result.Skyline aliases sc and
 // is valid only until sc's next use; Result.Filter is always detached and
-// safe to retain. A nil sc falls back to per-call allocation, which is
-// exactly HybridSkyline.
+// safe to retain. A nil sc falls back to per-call allocation, and the
+// result is then the caller's.
 //
 // The evaluation is three steps, each callable on its own: Precheck (the
 // whole-relation tests), the ID-based SFS scan (ScanAll is its
@@ -423,19 +420,14 @@ func dominatedN(ids []uint32, sky []int, s, dim, sa int) (bool, int) {
 	return false, cmp
 }
 
-// BNLSkyline evaluates the same local query with block-nested-loop over any
-// storage model — the unindexed, unsorted baseline the paper runs on flat
-// storage. Every dominance test dereferences and compares raw attribute
-// values, which is precisely the cost hybrid storage avoids.
-func BNLSkyline(rel storage.Relation, q Query, flt *tuple.Tuple, vdr VDRFunc) Result {
-	return BNLSkylineScratch(rel, q, flt, vdr, nil)
-}
-
-// BNLSkylineScratch is BNLSkyline with the window and result buffers drawn
-// from sc under the same aliasing contract as HybridSkylineScratch. BNL's
-// dominance tests still dereference raw values through the storage model —
-// that indirection is the baseline's point — so only the bookkeeping, not
-// the comparisons, changes with a Scratch.
+// BNLSkylineScratch evaluates the same local query with block-nested-loop
+// over any storage model — the unindexed, unsorted baseline the paper runs
+// on flat storage. Every dominance test dereferences and compares raw
+// attribute values, which is precisely the cost hybrid storage avoids. The
+// window and result buffers are drawn from sc under the same aliasing
+// contract as HybridSkylineScratch (nil allocates per call); the
+// indirection through the storage model is the baseline's point, so only
+// the bookkeeping, not the comparisons, changes with a Scratch.
 func BNLSkylineScratch(rel storage.Relation, q Query, flt *tuple.Tuple, vdr VDRFunc, sc *Scratch) Result {
 	res := Result{Filter: flt}
 	if flt != nil && vdr != nil {

@@ -37,7 +37,7 @@ func hotelsR1() []tuple.Tuple {
 
 func TestHybridSkylineNoFilterPaperExample(t *testing.T) {
 	rel := storage.NewHybrid(hotelsR1())
-	res := HybridSkyline(rel, unconstrained(), nil, vdrExact(200, 10))
+	res := HybridSkylineScratch(rel, unconstrained(), nil, vdrExact(200, 10), nil)
 	want := []tuple.Tuple{tp(1, 1, 20, 7), tp(1, 2, 40, 5), tp(1, 4, 80, 4), tp(1, 6, 100, 3)}
 	if !skyline.SetEqual(res.Skyline, want) {
 		t.Fatalf("skyline = %v, want %v", res.Skyline, want)
@@ -59,7 +59,7 @@ func TestHybridSkylineWithPaperFilter(t *testing.T) {
 	// §3.2: filtering tuple h21=(60,3) eliminates h14 and h16 from SK_1.
 	rel := storage.NewHybrid(hotelsR1())
 	flt := tp(2, 1, 60, 3)
-	res := HybridSkyline(rel, unconstrained(), &flt, vdrExact(200, 10))
+	res := HybridSkylineScratch(rel, unconstrained(), &flt, vdrExact(200, 10), nil)
 	want := []tuple.Tuple{tp(1, 1, 20, 7), tp(1, 2, 40, 5)}
 	if !skyline.SetEqual(res.Skyline, want) {
 		t.Fatalf("reduced skyline = %v, want %v", res.Skyline, want)
@@ -82,7 +82,7 @@ func TestDynamicFilterUpdatePaperExample(t *testing.T) {
 	h41 := tp(4, 1, 80, 2)
 	vdr := vdrExact(200, 10)
 	// VDR(h41) = 120*8 = 960; VDR(h31) = 140*7 = 980 > 960.
-	res := HybridSkyline(r3, unconstrained(), &h41, vdr)
+	res := HybridSkylineScratch(r3, unconstrained(), &h41, vdr, nil)
 	if res.Filter == nil || !res.Filter.Equal(tp(3, 1, 60, 3)) {
 		t.Fatalf("dynamic update should pick h31, got %v", res.Filter)
 	}
@@ -101,7 +101,7 @@ func TestHybridAgainstGroundTruthRandom(t *testing.T) {
 		rel := storage.NewHybrid(data)
 		pos := tuple.Point{X: r.Float64() * 1000, Y: r.Float64() * 1000}
 		d := 100 + r.Float64()*600
-		res := HybridSkyline(rel, Query{Pos: pos, D: d}, nil, nil)
+		res := HybridSkylineScratch(rel, Query{Pos: pos, D: d}, nil, nil, nil)
 		want := skyline.Constrained(data, pos, d)
 		if !skyline.SetEqual(res.Skyline, want) {
 			t.Fatalf("trial %d: hybrid constrained skyline %d tuples, want %d",
@@ -117,11 +117,11 @@ func TestBNLMatchesHybridAllModels(t *testing.T) {
 	data := gen.Generate(gen.HandheldConfig(400, 3, gen.AntiCorrelated, 9))
 	pos := tuple.Point{X: 500, Y: 500}
 	q := Query{Pos: pos, D: 400}
-	want := HybridSkyline(storage.NewHybrid(data), q, nil, nil).Skyline
+	want := HybridSkylineScratch(storage.NewHybrid(data), q, nil, nil, nil).Skyline
 	for _, rel := range []storage.Relation{
 		storage.NewFlat(data), storage.NewDomain(data), storage.NewRing(data),
 	} {
-		got := BNLSkyline(rel, q, nil, nil).Skyline
+		got := BNLSkylineScratch(rel, q, nil, nil, nil).Skyline
 		if !skyline.SetEqual(want, got) {
 			t.Errorf("%s: BNL result differs from hybrid (%d vs %d)",
 				rel.Model(), len(got), len(want))
@@ -144,11 +144,11 @@ func TestFilterSafety(t *testing.T) {
 		// Device A is the originator: pick a filter from its local skyline.
 		relA := storage.NewHybrid(dataA)
 		vdr := vdrExact(9.9, 9.9, 9.9, 9.9, 9.9)
-		resA := HybridSkyline(relA, unconstrained(), nil, vdr)
+		resA := HybridSkylineScratch(relA, unconstrained(), nil, vdr, nil)
 		flt := resA.Filter
 
 		relB := storage.NewHybrid(dataB)
-		resB := HybridSkyline(relB, unconstrained(), flt, vdr)
+		resB := HybridSkylineScratch(relB, unconstrained(), flt, vdr, nil)
 
 		// Assemble and compare against centralized ground truth.
 		merged := append(append([]tuple.Tuple{}, resA.Skyline...), resB.Skyline...)
@@ -170,7 +170,7 @@ func TestMBRSkip(t *testing.T) {
 		data[i].Y = math.Mod(data[i].Y, 50)
 	}
 	rel := storage.NewHybrid(data)
-	res := HybridSkyline(rel, Query{Pos: tuple.Point{X: 900, Y: 900}, D: 100}, nil, nil)
+	res := HybridSkylineScratch(rel, Query{Pos: tuple.Point{X: 900, Y: 900}, D: 100}, nil, nil, nil)
 	if !res.Stats.SkippedMBR {
 		t.Errorf("expected MBR skip")
 	}
@@ -178,7 +178,7 @@ func TestMBRSkip(t *testing.T) {
 		t.Errorf("MBR skip should not scan: %+v", res.Stats)
 	}
 	// Flat path too.
-	fres := BNLSkyline(storage.NewFlat(data), Query{Pos: tuple.Point{X: 900, Y: 900}, D: 100}, nil, nil)
+	fres := BNLSkylineScratch(storage.NewFlat(data), Query{Pos: tuple.Point{X: 900, Y: 900}, D: 100}, nil, nil, nil)
 	if !fres.Stats.SkippedMBR {
 		t.Errorf("expected MBR skip on flat BNL")
 	}
@@ -188,7 +188,7 @@ func TestFilterDominatesWholeRelationSkip(t *testing.T) {
 	data := []tuple.Tuple{tp(0, 0, 5, 5), tp(1, 1, 6, 7), tp(2, 2, 5, 9)}
 	rel := storage.NewHybrid(data)
 	flt := tp(9, 9, 4, 5) // ≤ all local minima (5,5), strictly better on p1
-	res := HybridSkyline(rel, unconstrained(), &flt, nil)
+	res := HybridSkylineScratch(rel, unconstrained(), &flt, nil, nil)
 	if !res.Stats.SkippedFilter {
 		t.Fatalf("filter dominating the whole relation should skip, stats %+v", res.Stats)
 	}
@@ -203,7 +203,7 @@ func TestFilterEqualToLocalMinimaDoesNotSkip(t *testing.T) {
 	data := []tuple.Tuple{tp(0, 0, 5, 5), tp(1, 1, 6, 7)}
 	rel := storage.NewHybrid(data)
 	flt := tp(9, 9, 5, 5) // equal to the best local tuple, different site
-	res := HybridSkyline(rel, unconstrained(), &flt, nil)
+	res := HybridSkylineScratch(rel, unconstrained(), &flt, nil, nil)
 	if res.Stats.SkippedFilter {
 		t.Fatalf("equal-vector filter must not skip the relation")
 	}
@@ -218,7 +218,7 @@ func TestSpatialConstraintExcludesFarTuples(t *testing.T) {
 		tp(500, 500, 1, 1), // excellent but out of range
 	}
 	rel := storage.NewHybrid(data)
-	res := HybridSkyline(rel, Query{Pos: tuple.Point{}, D: 10}, nil, nil)
+	res := HybridSkylineScratch(rel, Query{Pos: tuple.Point{}, D: 10}, nil, nil, nil)
 	if len(res.Skyline) != 1 || !res.Skyline[0].Equal(data[0]) {
 		t.Fatalf("got %v, want only the in-range tuple", res.Skyline)
 	}
@@ -227,7 +227,7 @@ func TestSpatialConstraintExcludesFarTuples(t *testing.T) {
 func TestStatsCounting(t *testing.T) {
 	data := gen.Generate(gen.HandheldConfig(200, 2, gen.Independent, 3))
 	rel := storage.NewHybrid(data)
-	res := HybridSkyline(rel, unconstrained(), nil, nil)
+	res := HybridSkylineScratch(rel, unconstrained(), nil, nil, nil)
 	if res.Stats.Scanned != 200 {
 		t.Errorf("Scanned = %d, want 200", res.Stats.Scanned)
 	}
@@ -245,7 +245,7 @@ func TestStatsCounting(t *testing.T) {
 	}
 
 	q := Query{Pos: tuple.Point{X: 500, Y: 500}, D: 300}
-	res2 := HybridSkyline(rel, q, nil, nil)
+	res2 := HybridSkylineScratch(rel, q, nil, nil, nil)
 	if res2.Stats.DistChecks != 200 {
 		t.Errorf("DistChecks = %d, want 200", res2.Stats.DistChecks)
 	}
@@ -253,7 +253,7 @@ func TestStatsCounting(t *testing.T) {
 		t.Errorf("some tuples should be out of range")
 	}
 
-	fres := BNLSkyline(storage.NewFlat(data), unconstrained(), nil, nil)
+	fres := BNLSkylineScratch(storage.NewFlat(data), unconstrained(), nil, nil, nil)
 	if fres.Stats.ValCmp == 0 {
 		t.Errorf("flat BNL should count value comparisons")
 	}
@@ -274,12 +274,12 @@ func TestStatsAdd(t *testing.T) {
 
 func TestEmptyRelation(t *testing.T) {
 	rel := storage.NewHybrid(nil)
-	res := HybridSkyline(rel, unconstrained(), nil, nil)
+	res := HybridSkylineScratch(rel, unconstrained(), nil, nil, nil)
 	if len(res.Skyline) != 0 || res.Unreduced != 0 {
 		t.Errorf("empty relation should yield empty result")
 	}
 	flt := tp(0, 0, 1, 1)
-	res2 := HybridSkyline(rel, unconstrained(), &flt, nil)
+	res2 := HybridSkylineScratch(rel, unconstrained(), &flt, nil, nil)
 	if res2.Filter == nil || !res2.Filter.Equal(flt) {
 		t.Errorf("filter should pass through an empty relation")
 	}
@@ -288,7 +288,7 @@ func TestEmptyRelation(t *testing.T) {
 func TestDimensionMismatchedFilterIgnoredSafely(t *testing.T) {
 	rel := storage.NewHybrid(hotelsR1())
 	flt := tp(0, 0, 1) // 1-D filter against 2-D relation
-	res := HybridSkyline(rel, unconstrained(), &flt, nil)
+	res := HybridSkylineScratch(rel, unconstrained(), &flt, nil, nil)
 	// A mismatched filter can neither skip the relation nor prune tuples.
 	if res.Stats.SkippedFilter {
 		t.Errorf("mismatched filter must not skip")

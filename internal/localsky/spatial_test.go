@@ -20,8 +20,8 @@ func TestSpatialIndexSameResultLessWork(t *testing.T) {
 		pos := tuple.Point{X: r.Float64() * 1000, Y: r.Float64() * 1000}
 		d := 50 + r.Float64()*300
 
-		plain := HybridSkyline(rel, Query{Pos: pos, D: d}, nil, nil)
-		indexed := HybridSkyline(rel, Query{Pos: pos, D: d, SpatialIndex: true}, nil, nil)
+		plain := HybridSkylineScratch(rel, Query{Pos: pos, D: d}, nil, nil, nil)
+		indexed := HybridSkylineScratch(rel, Query{Pos: pos, D: d, SpatialIndex: true}, nil, nil, nil)
 
 		if !skyline.SetEqual(plain.Skyline, indexed.Skyline) {
 			t.Fatalf("trial %d: spatial index changed the result (%d vs %d)",
@@ -41,7 +41,7 @@ func TestSpatialIndexSelectiveRangeScansFewTuples(t *testing.T) {
 	data := gen.Generate(gen.DefaultConfig(20000, 2, gen.Independent, 7))
 	rel := storage.NewHybrid(data)
 	q := Query{Pos: tuple.Point{X: 500, Y: 500}, D: 50, SpatialIndex: true}
-	res := HybridSkyline(rel, q, nil, nil)
+	res := HybridSkylineScratch(rel, q, nil, nil, nil)
 	// A 50 m disc covers ~0.8% of the space; the grid should visit well
 	// under a quarter of the relation.
 	if res.Stats.Scanned > rel.Len()/4 {
@@ -56,7 +56,7 @@ func TestSpatialIndexSelectiveRangeScansFewTuples(t *testing.T) {
 func TestSpatialIndexUnconstrainedFallsBack(t *testing.T) {
 	data := gen.Generate(gen.DefaultConfig(1000, 2, gen.Independent, 9))
 	rel := storage.NewHybrid(data)
-	res := HybridSkyline(rel, Query{D: unconstrained().D, SpatialIndex: true}, nil, nil)
+	res := HybridSkylineScratch(rel, Query{D: unconstrained().D, SpatialIndex: true}, nil, nil, nil)
 	if res.Stats.Scanned != rel.Len() {
 		t.Errorf("unconstrained query should scan everything")
 	}

@@ -142,7 +142,7 @@ func (n *node) Next(tried []core.DeviceID) core.DeviceID {
 	return core.DeviceID(n.sc.med.FirstNeighborExcept(n.id, except))
 }
 
-// Flood broadcasts one hop of a flood. With Params.FloodRoutes the frame
+// Flood broadcasts one hop of a flood. On the scale path the frame
 // carries the originator and hop count so receivers install reverse routes
 // for their replies (see aodv.BroadcastLocalRouted); otherwise it is a
 // plain local broadcast, as in the paper.
@@ -158,7 +158,7 @@ func (n *node) Flood(m core.Msg) {
 	n.reflooding = false
 	p := &floodMsg{Msg: m}
 	var sent int
-	if n.sc.p.FloodRoutes {
+	if n.sc.p.scalePath {
 		sent = n.sc.net.BroadcastLocalRouted(n.id, radio.NodeID(key.Org), m.Hops, p)
 	} else {
 		sent = n.sc.net.BroadcastLocal(n.id, p)

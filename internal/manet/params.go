@@ -147,26 +147,23 @@ type Params struct {
 	// (0 ⇒ 600).
 	RedistributePeriod float64
 
-	// Originators, when positive, restricts query issuance to the first
-	// Originators devices instead of all of them. Large-scale sweeps use
-	// this to measure per-query cost at 30k+ devices without scheduling
-	// 30k simultaneous floods; 0 (the default) keeps the paper's
-	// every-device-issues behavior and the legacy RNG draw order.
-	Originators int
-	// CompactMobility swaps per-device Waypoint trajectories for the
-	// struct-of-arrays mobility.Field backend (~88 B/node instead of
-	// ~5 KB/node). Field trajectories are statistically equivalent but NOT
-	// bit-compatible with Waypoint — leave this off where golden traces
-	// apply.
-	CompactMobility bool
-	// FloodRoutes piggybacks reverse-route installation on BF query
-	// floods: every device that hears the flood learns a route toward the
-	// originator (the RREQ trick applied to application broadcasts), so
-	// result returns skip AODV discovery. At 30k devices this is the
-	// difference between one flood and one flood plus ~30k RREQ storms.
-	// The flood frame grows by 8 bytes, so this is off by default to keep
-	// golden traces byte-identical.
-	FloodRoutes bool
+	// originators, when positive, restricts query issuance to the first
+	// originators devices instead of all of them, so the scale preset
+	// measures per-query cost at 30k+ devices without scheduling 30k
+	// simultaneous floods; 0 keeps the paper's every-device-issues
+	// behavior and its RNG draw order. Only ScaleParams sets it.
+	originators int
+	// scalePath switches on the rest of the scale preset's machinery. It
+	// swaps per-device Waypoint trajectories for the struct-of-arrays
+	// mobility.Field (~88 B/node instead of ~5 KB/node; statistically
+	// equivalent trajectories, but not bit-compatible with Waypoint). And
+	// it piggybacks reverse-route installation on BF query floods: every
+	// device that hears the flood learns a route toward the originator
+	// (the RREQ trick applied to application broadcasts), so result
+	// returns skip AODV discovery; at 30k devices that is the difference
+	// between one flood and one flood plus ~30k RREQ storms, for 8 more
+	// bytes per flood frame. Only ScaleParams sets it.
+	scalePath bool
 
 	// Static disables movement entirely (devices stay at their starting
 	// points); used by correctness tests.
@@ -278,8 +275,8 @@ func (p Params) Validate() error {
 	if p.QueryDeadline < 0 {
 		return fmt.Errorf("manet: negative query deadline %g", p.QueryDeadline)
 	}
-	if p.Originators < 0 || p.Originators > p.NumDevices() {
-		return fmt.Errorf("manet: originators %d outside [0,%d]", p.Originators, p.NumDevices())
+	if p.originators < 0 || p.originators > p.NumDevices() {
+		return fmt.Errorf("manet: originators %d outside [0,%d]", p.originators, p.NumDevices())
 	}
 	if err := p.Faults.Validate(p.NumDevices()); err != nil {
 		return err

@@ -14,7 +14,7 @@ func TestScaleKnobs(t *testing.T) {
 	t.Parallel()
 	for _, row := range []string{"scale_bf", "scale_df"} {
 		run := rowRun(t, row, false)
-		out, origs := run.out, run.row.p.Originators
+		out, origs := run.out, run.row.p.originators
 		if len(out.Queries) == 0 || len(out.Queries) > origs {
 			t.Errorf("%s: %d queries from %d originators", row, len(out.Queries), origs)
 		}
@@ -30,25 +30,25 @@ func TestScaleKnobs(t *testing.T) {
 	}
 }
 
-// TestScaleKnobsValidation pins the Originators bounds check.
+// TestScaleKnobsValidation pins the originators bounds check.
 func TestScaleKnobsValidation(t *testing.T) {
 	p := DefaultParams()
-	p.Originators = -1
+	p.originators = -1
 	if err := p.Validate(); err == nil {
 		t.Error("negative originators should fail validation")
 	}
-	p.Originators = p.NumDevices() + 1
+	p.originators = p.NumDevices() + 1
 	if err := p.Validate(); err == nil {
 		t.Error("originators above device count should fail validation")
 	}
-	p.Originators = p.NumDevices()
+	p.originators = p.NumDevices()
 	if err := p.Validate(); err != nil {
 		t.Errorf("originators == device count should validate: %v", err)
 	}
 }
 
 // TestFloodRoutesInstallReverseRoutes checks the piggybacked route
-// installation end to end: under FloodRoutes, a BF flood must leave the
+// installation end to end: on the scale path, a BF flood must leave the
 // non-originator devices holding routes back to the originator.
 func TestFloodRoutesInstallReverseRoutes(t *testing.T) {
 	p := DefaultParams()
@@ -56,9 +56,9 @@ func TestFloodRoutesInstallReverseRoutes(t *testing.T) {
 	p.GlobalN = 500
 	p.SimTime = 600
 	p.MinQueries, p.MaxQueries = 1, 1
-	p.Originators = 1
-	p.FloodRoutes = true
-	p.Static = true
+	p.originators = 1
+	p.scalePath = true
+	p.Static = true     // so scalePath engages the flood routes, not mobility.Field
 	p.Radio.Range = 600 // multi-hop over the 1000m field
 	p.Seed = 2
 

@@ -310,7 +310,7 @@ func build(p Params) *scenario {
 	schema := dcfg.Schema()
 
 	var field *mobility.Field
-	if p.CompactMobility && !p.Static {
+	if p.scalePath && !p.Static {
 		field = mobility.NewField(p.Mobility)
 	}
 	flood := core.FloodOptions{
@@ -351,12 +351,12 @@ func build(p Params) *scenario {
 
 	// Query schedule: each device issues Min..Max queries at random times
 	// in the first 90% of the simulation, skipping issues while a query is
-	// in progress. Params.Originators caps how many devices draw schedules
-	// at all — the scale sweeps' way of measuring a handful of queries over
-	// a 30k-device substrate.
+	// in progress. Params.originators caps how many devices draw schedules
+	// at all — the scale preset's way of measuring a handful of queries
+	// over a 30k-device substrate.
 	issuers := len(sc.nodes)
-	if p.Originators > 0 && p.Originators < issuers {
-		issuers = p.Originators
+	if p.originators > 0 && p.originators < issuers {
+		issuers = p.originators
 	}
 	for ni := 0; ni < issuers; ni++ {
 		n := &sc.nodes[ni]

@@ -16,8 +16,8 @@ import "manetskyline/internal/tuple"
 //     leg clamps to the leg's start. The radio medium only queries the
 //     present, so this is invisible there.
 //   - Trajectories are NOT bit-compatible with Waypoint — the RNG differs —
-//     so Field is opt-in (Params.CompactMobility in the manet layer) and
-//     never used where golden traces apply.
+//     so in the manet layer only the scale preset (manet.ScaleParams)
+//     uses Field, and no golden trace of the paper's scenarios does.
 type Field struct {
 	cfg   Config
 	nodes []fieldNode

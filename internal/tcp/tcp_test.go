@@ -75,33 +75,11 @@ func linkAll(peers []*Peer) {
 	}
 }
 
-// quiesce waits until the fleet sharing reg has received every frame it
-// wrote and wrote nothing new for 20 ms. A query completes while copies of
-// its flood are still moving, and core.QueryLog keeps one counter per
-// originator, so a late copy of an originator's query k that meets its
-// query k+1 re-floods both for ever (ROADMAP 0c). Until that is fixed, an
-// originator queries again only after its last flood has died out, as the
-// live benchmark's fleet does (benchmark/live.go).
-func quiesce(t *testing.T, reg *telemetry.Registry) {
-	t.Helper()
-	in := reg.Counter("tcp_messages_in_total", "")
-	out := reg.Counter("tcp_messages_out_total", "")
-	last := [2]int64{-1, -1}
-	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); {
-		now := [2]int64{in.Value(), out.Value()}
-		if now == last && now[0] == now[1] {
-			return
-		}
-		last = now
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("fleet still busy after 2 s: %d frames received, %d written", last[0], last[1])
-}
-
 // TestQueryOverRealSockets checks every answer against the centralized
 // constrained skyline. Corner-to-corner grid queries need four hops; the
-// repeat case issues five queries in a row from one originator, each under
-// a fresh query key every other peer's core.QueryLog must accept.
+// repeat case issues five queries back to back from one originator, so
+// copies of one query's flood still move while the next floods, and every
+// other peer's core.QueryLog must accept each new key once.
 func TestQueryOverRealSockets(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -117,9 +95,7 @@ func TestQueryOverRealSockets(t *testing.T) {
 		{"empty_relations", 0, gen.Independent, true, []float64{100}, []int{0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Registry = telemetry.NewRegistry()
-			peers, data, cleanup := startPeers(t, cfg, gen.DefaultConfig(tc.n, 2, tc.dist, 5), 3)
+			peers, data, cleanup := startPeers(t, DefaultConfig(), gen.DefaultConfig(tc.n, 2, tc.dist, 5), 3)
 			defer cleanup()
 			if tc.mesh {
 				linkAll(peers)
@@ -139,7 +115,6 @@ func TestQueryOverRealSockets(t *testing.T) {
 					if !skyline.SetEqual(res.Skyline, want) {
 						t.Errorf("d=%v org %d: got %d tuples, want %d", d, org, len(res.Skyline), len(want))
 					}
-					quiesce(t, cfg.Registry)
 				}
 			}
 		})
